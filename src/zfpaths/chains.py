@@ -11,7 +11,9 @@ the witnessing chain, strictly shrinking the defect count each round.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import (
     ContractError,
@@ -56,11 +58,12 @@ class ChainSet:
     origin: frozenset
     run: ForcingRun
 
+    @cached_property
+    def index(self):
+        return OrderIndex(self.host, [c.seq for c in self.chains])
+
     def chain_of(self, v):
-        for c in self.chains:
-            if v in c:
-                return c
-        raise KeyError(v)
+        return self.chains[self.index.owner[v]]
 
     def nontrivial(self):
         return [c for c in self.chains if not c.trivial]
@@ -70,6 +73,70 @@ class ChainSet:
 
     def to_json(self):
         return {"origin": sorted(self.origin), "chains": [list(c.seq) for c in self.chains]}
+
+
+class OrderIndex:
+    """Positions, owners and cross edges of a tuple of disjoint vertex
+    sequences, with the chain-order scans built on them.  Sequences are
+    referred to by their index in `seqs`."""
+
+    def __init__(self, g: Graph, seqs):
+        self.host = g
+        self.seqs = tuple(tuple(s) for s in seqs)
+        self.pos = {}
+        self.owner = {}
+        for i, seq in enumerate(self.seqs):
+            for p, v in enumerate(seq):
+                self.pos[v] = p
+                self.owner[v] = i
+        self.cross = {ij: [] for ij in itertools.permutations(range(len(self.seqs)), 2)}
+        for i, seq in enumerate(self.seqs):
+            for u in seq:
+                for v in g.neighbors(u):
+                    j = self.owner.get(v, i)
+                    if j != i:
+                        self.cross[i, j].append((u, v))
+
+    def inverting_pairs(self, i, j):
+        """Cross edges (u, v), (u2, v2) from sequence i to j with u before u2
+        but v2 before v."""
+        pos = self.pos
+        for u, v in self.cross[i, j]:
+            for u2, v2 in self.cross[i, j]:
+                if pos[u] < pos[u2] and pos[v2] < pos[v]:
+                    yield u, v, u2, v2
+
+    def inverting_triples(self, i, j, k):
+        """(a, b, c, d, x, y): cross edges a-b (i to j), c-d (j to k) and x-y
+        (i to k) with c before b, x after a and y before d."""
+        pos = self.pos
+        for a, b in self.cross[i, j]:
+            for c, d in self.cross[j, k]:
+                if pos[c] < pos[b]:
+                    for x, y in self.cross[i, k]:
+                        if pos[x] > pos[a] and pos[y] < pos[d]:
+                            yield a, b, c, d, x, y
+
+    def split(self, u, j):
+        """Sorted positions of u's neighbors in sequence j when two of them are
+        at least two apart, else an empty list."""
+        ps = sorted(self.pos[v] for v in self.host.neighbors(u) if self.owner.get(v) == j)
+        return ps if any(q - p >= 2 for p, q in zip(ps, ps[1:])) else []
+
+    def fan_inversions(self, x, j, k):
+        """(a, b, c, d): neighbors a of x in sequence j and b in sequence k,
+        with a cross edge c-d from j to k where c is after a and d before b."""
+        pos = self.pos
+        nbrs = self.host.neighbors(x)
+        for a in nbrs:
+            if self.owner.get(a) != j:
+                continue
+            for b in nbrs:
+                if self.owner.get(b) != k:
+                    continue
+                for c, d in self.cross[j, k]:
+                    if pos[c] > pos[a] and pos[d] < pos[b]:
+                        yield a, b, c, d
 
 
 def extract_chains(outcome: ForcingOutcome) -> ChainSet:
@@ -176,67 +243,47 @@ def sequentially_realizable(cs: ChainSet):
 # -- defect detectors -------------------------------------------------------
 
 
-def bad_vertices(cs: ChainSet):
-    """Vertices of a non-trivial chain with two non-consecutive neighbors in
-    another non-trivial chain."""
-    result = set()
-    nontrivial = cs.nontrivial()
-    for c1 in nontrivial:
-        for v in c1.seq:
-            for c2 in nontrivial:
-                if c2 is c1:
-                    continue
-                positions = sorted(c2.position(w) for w in cs.host.neighbors(v) if w in c2)
-                if any(q - p >= 2 for p, q in zip(positions, positions[1:])):
-                    result.add(v)
+def _nontrivial_indices(cs: ChainSet):
+    return [i for i, c in enumerate(cs.chains) if not c.trivial]
+
+
+def _heads_only(cs: ChainSet, result, kind):
     if cs.host.max_degree() <= 3:
         for v in result:
             if cs.chain_of(v).head != v:
                 raise InternalLogicError(
-                    f"bad vertex {v} is not the head of its chain (degree cap 3)"
+                    f"{kind} vertex {v} is not the head of its chain (degree cap 3)"
                 )
     return frozenset(result)
+
+
+def bad_vertices(cs: ChainSet):
+    """Vertices of a non-trivial chain with two non-consecutive neighbors in
+    another non-trivial chain."""
+    index = cs.index
+    nontrivial = _nontrivial_indices(cs)
+    result = {
+        v
+        for i, j in itertools.permutations(nontrivial, 2)
+        for v in index.seqs[i]
+        if index.split(v, j)
+    }
+    return _heads_only(cs, result, "bad")
 
 
 def unfavorite_vertices(cs: ChainSet):
     """Vertices with cross neighbors in two other non-trivial chains witnessed
     by a later/earlier segment between those chains."""
-    result = set()
-    nontrivial = cs.nontrivial()
-    for c1 in nontrivial:
-        others = [c for c in nontrivial if c is not c1]
-        for x in c1.seq:
-            for c2 in others:
-                for c3 in others:
-                    if c3 is c2:
-                        continue
-                    if _unfavorite_witness(cs, x, c2, c3) is not None:
-                        result.add(x)
-    if cs.host.max_degree() <= 3:
-        for v in result:
-            if cs.chain_of(v).head != v:
-                raise InternalLogicError(
-                    f"unfavorite vertex {v} is not the head of its chain (degree cap 3)"
-                )
-    return frozenset(result)
-
-
-def _unfavorite_witness(cs: ChainSet, x, c2: Chain, c3: Chain):
-    """First (a, b) pair witnessing x unfavorite via chains (c2, c3), or None."""
-    nbrs = cs.host.neighbors(x)
-    for a in nbrs:
-        if a not in c2:
-            continue
-        for b in nbrs:
-            if b not in c3:
-                continue
-            pa = c2.position(a)
-            pb = c3.position(b)
-            for c in c2.seq[pa + 1 :]:
-                for d in cs.host.neighbors(c):
-                    if d in c3 and c3.position(d) < pb:
-                        return a, b
-    return None
+    index = cs.index
+    nontrivial = _nontrivial_indices(cs)
+    result = {
+        x
+        for i in nontrivial
+        for j, k in itertools.permutations([c for c in nontrivial if c != i], 2)
+        for x in index.seqs[i]
+        if next(index.fan_inversions(x, j, k), None)
+    }
+    return _heads_only(cs, result, "unfavorite")
 
 
 # -- repair rewrites --------------------------------------------------------
@@ -271,13 +318,11 @@ def _head_rewrite(cs: ChainSet, x, c_from: Chain, a):
 
 def _bad_witness(cs: ChainSet, x):
     """The chain and earlier neighbor witnessing that x is bad."""
-    c1 = cs.chain_of(x)
-    for c2 in cs.nontrivial():
-        if c2 is c1:
-            continue
-        positions = sorted(c2.position(w) for w in cs.host.neighbors(x) if w in c2)
-        if any(q - p >= 2 for p, q in zip(positions, positions[1:])):
-            return c2, c2.seq[positions[0]]
+    i = cs.index.owner[x]
+    for j in _nontrivial_indices(cs):
+        positions = cs.index.split(x, j) if j != i else []
+        if positions:
+            return cs.chains[j], cs.chains[j].seq[positions[0]]
     raise InternalLogicError(f"no bad witness found for {x}")
 
 
@@ -331,19 +376,16 @@ def eliminate_unfavorite(cs: ChainSet) -> ChainSet:
         if not unfav:
             return current
         x = min(unfav)
-        c1 = current.chain_of(x)
-        witness = None
-        others = [c for c in current.nontrivial() if c is not c1]
-        for c2 in others:
-            for c3 in others:
-                if c3 is c2:
-                    continue
-                pair = _unfavorite_witness(current, x, c2, c3)
-                if pair is not None:
-                    witness = (c2, pair[0])
-                    break
-            if witness:
-                break
+        i = current.index.owner[x]
+        others = [j for j in _nontrivial_indices(current) if j != i]
+        witness = next(
+            (
+                (current.chains[j], fan[0])
+                for j, k in itertools.permutations(others, 2)
+                for fan in current.index.fan_inversions(x, j, k)
+            ),
+            None,
+        )
         if witness is None:
             raise InternalLogicError(f"no unfavorite witness found for {x}")
         rewritten = _head_rewrite(current, x, witness[0], witness[1])
@@ -381,48 +423,18 @@ def check_order_lemmas(cs: ChainSet) -> OrderLemmaReport:
     """
     violations = []
     step = cs.run.step_of
-    for c in cs.chains:
-        for i, x in enumerate(c.seq[:-1]):
+    index = cs.index
+    for i, c in enumerate(cs.chains):
+        for p, x in enumerate(c.seq[:-1]):
             for z in cs.host.neighbors(x):
-                if z in c:
+                if index.owner.get(z) == i:
                     continue
-                for y in c.seq[i + 1 :]:
+                for y in c.seq[p + 1 :]:
                     if step.get(z, 10**9) >= step.get(y, -1):
                         violations.append(("earlier_cross_neighbor", (x, y, z)))
-    for c1 in cs.chains:
-        for c2 in cs.chains:
-            if c2 is c1:
-                continue
-            segs = [
-                (c1.position(u), c2.position(v))
-                for u, v in _cross_edges(cs.host, c1, c2)
-            ]
-            for p1, q1 in segs:
-                for p2, q2 in segs:
-                    if p1 < p2 and q2 < q1:
-                        violations.append(
-                            ("no_inverting_pair", (c1.seq[p1], c2.seq[q1], c1.seq[p2], c2.seq[q2]))
-                        )
-    for c1 in cs.chains:
-        for c2 in cs.chains:
-            for c3 in cs.chains:
-                if len({id(c1), id(c2), id(c3)}) != 3:
-                    continue
-                for a, b in _cross_edges(cs.host, c1, c2):
-                    for c, d in _cross_edges(cs.host, c2, c3):
-                        if c2.position(c) < c2.position(b):
-                            for x, y in _cross_edges(cs.host, c1, c3):
-                                if c1.position(x) > c1.position(a) and c3.position(y) < c3.position(d):
-                                    violations.append(
-                                        ("no_inverting_triple", (a, b, c, d, x, y))
-                                    )
+    count = len(cs.chains)
+    for i, j in itertools.permutations(range(count), 2):
+        violations.extend(("no_inverting_pair", w) for w in index.inverting_pairs(i, j))
+    for i, j, k in itertools.permutations(range(count), 3):
+        violations.extend(("no_inverting_triple", w) for w in index.inverting_triples(i, j, k))
     return OrderLemmaReport(violations=violations)
-
-
-def _cross_edges(g: Graph, c1: Chain, c2: Chain):
-    out = []
-    for u in c1.seq:
-        for v in g.neighbors(u):
-            if v in c2:
-                out.append((u, v))
-    return out

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, lcm
 
-from .chains import Chain, chains_for, eliminate_bad, eliminate_unfavorite
+from .chains import Chain, OrderIndex, chains_for, eliminate_bad, eliminate_unfavorite
 from .errors import (
     ContractError,
     DrawingConstructionError,
@@ -194,66 +194,27 @@ def leftmost_set(d: StandardDrawing):
 def check_parallel_properties(g: Graph, p1, p2, p3):
     """Violations of the six structural conditions a chain triple must meet
     before the two-row ladder can be extended by the third row."""
-    paths = (tuple(p1), tuple(p2), tuple(p3))
-    pos = {}
-    which = {}
-    for i, p in enumerate(paths):
-        for j, v in enumerate(p):
-            pos[v] = j
-            which[v] = i
+    index = OrderIndex(g, (p1, p2, p3))
+    paths = index.seqs
     violations = []
     if len(paths[0]) < 2 or len(paths[1]) < 2:
         violations.append((1, "first two paths must each have two vertices"))
     if len(paths[2]) == 1 and g.degree(paths[2][0]) > 2:
         violations.append((2, f"singleton third path {paths[2][0]} has degree > 2"))
-    cross = {}
-    for i, j in itertools.permutations(range(3), 2):
-        cross[i, j] = [
-            (u, v)
-            for u in paths[i]
-            for v in g.neighbors(u)
-            if which[v] == j
-        ]
     for i, j in itertools.combinations(range(3), 2):
-        for (u, v), (u2, v2) in itertools.permutations(cross[i, j], 2):
-            if pos[u] < pos[u2] and pos[v2] < pos[v]:
-                violations.append((3, (u, v, u2, v2)))
+        violations.extend((3, w) for w in index.inverting_pairs(i, j))
     for i, j, k in itertools.permutations(range(3), 3):
-        for a, b in cross[i, j]:
-            for c, d in cross[j, k]:
-                if pos[c] < pos[b]:
-                    for x, y in cross[i, k]:
-                        if pos[x] > pos[a] and pos[y] < pos[d]:
-                            violations.append((4, (a, b, c, d, x, y)))
+        violations.extend((4, w) for w in index.inverting_triples(i, j, k))
     for i, j in itertools.permutations(range(3), 2):
-        for u in paths[i]:
-            nbr_pos = sorted(pos[v] for v in g.neighbors(u) if which[v] == j)
-            if any(q - p >= 2 for p, q in zip(nbr_pos, nbr_pos[1:])):
-                violations.append((5, (u, j)))
+        violations.extend((5, (u, j)) for u in paths[i] if index.split(u, j))
     for i, j, k in itertools.permutations(range(3), 3):
-        if j > k:
-            continue
-        for x in paths[i]:
-            for a in g.neighbors(x):
-                if which[a] != j:
-                    continue
-                for b in g.neighbors(x):
-                    if which[b] != k:
-                        continue
-                    for c, d in cross[j, k]:
-                        if pos[c] > pos[a] and pos[d] < pos[b]:
-                            violations.append((6, (x, a, b, c, d)))
+        if j < k:
+            for x in paths[i]:
+                violations.extend((6, (x, *w)) for w in index.fan_inversions(x, j, k))
     return violations
 
 
 # -- ladder drawings ---------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class Section:
-    index: int
-    boundary: tuple  # (top_left, bottom_left, top_right, bottom_right) slots or None
-    members: frozenset
 
 
 @dataclass(frozen=True)
@@ -266,47 +227,38 @@ class LadderDrawing:
     thick_vertices: tuple  # merged consecutive pairs
     thick_edges: tuple  # (vertex, merged pair)
     segments: tuple  # (top slot index, bottom slot index), left to right
-    sections: tuple
     x_top: tuple  # Fraction per top slot
     x_bottom: tuple
 
 
-def _pair_property_check(g, t, b):
+def _pair_property_check(index: OrderIndex):
     """Properties 3 and 5 restricted to one chain pair; raise when violated."""
-    pos = {v: i for i, v in enumerate(t)}
-    pos.update({v: i for i, v in enumerate(b)})
-    side = {v: 0 for v in t}
-    side.update({v: 1 for v in b})
-    cross = [(u, v) for u in t for v in g.neighbors(u) if v in side and side[v] == 1]
-    for (u, v), (u2, v2) in itertools.permutations(cross, 2):
-        if pos[u] < pos[u2] and pos[v2] < pos[v]:
-            raise NotLadderDrawableError(
-                f"inverting segment pair {u}-{v}, {u2}-{v2}", violation=((u, v), (u2, v2))
-            )
-    for seq, other in ((t, b), (b, t)):
-        oset = set(other)
-        for u in seq:
-            nbr_pos = sorted(pos[v] for v in g.neighbors(u) if v in oset)
-            if any(q - p >= 2 for p, q in zip(nbr_pos, nbr_pos[1:])):
+    for u, v, u2, v2 in index.inverting_pairs(0, 1):
+        raise NotLadderDrawableError(
+            f"inverting segment pair {u}-{v}, {u2}-{v2}", violation=((u, v), (u2, v2))
+        )
+    for i, j in ((0, 1), (1, 0)):
+        for u in index.seqs[i]:
+            if index.split(u, j):
                 raise NotLadderDrawableError(
                     f"vertex {u} has non-consecutive neighbors across the ladder",
                     violation=(u,),
                 )
 
 
-def _merge_slots(g, seq, other):
-    """Slots of `seq` after gluing pairs that share a neighbor in `other`."""
-    members = set(seq)
+def _merge_slots(index: OrderIndex, s):
+    """Slots of sequence s after gluing pairs that share a neighbor in the other."""
+    seq = index.seqs[s]
     merged_at = {}
-    for u in other:
-        nbrs = [v for v in g.neighbors(u) if v in members]
+    for u in index.seqs[1 - s]:
+        nbrs = [v for v in index.host.neighbors(u) if index.owner.get(v) == s]
         if len(nbrs) == 2:
-            i, j = sorted(seq.index(v) for v in nbrs)
-            if j != i + 1:
+            if index.split(u, s):
                 raise NotLadderDrawableError(
                     f"vertex {u} has non-consecutive neighbors across the ladder",
                     violation=(u,),
                 )
+            i, j = sorted(index.pos[v] for v in nbrs)
             if i in merged_at:
                 raise NotLadderDrawableError(
                     f"vertices {seq[i]},{seq[j]} claimed by two thick merges",
@@ -342,9 +294,10 @@ def ladder_drawing(g: Graph, r1, r2) -> LadderDrawing:
         raise ContractError("ladder chains must be vertex disjoint")
     if not is_induced_path(g, t) or not is_induced_path(g, b):
         raise ContractError("ladder chains must be induced paths")
-    _pair_property_check(g, t, b)
-    bottom_slots, thick_b, edges_b = _merge_slots(g, b, t)
-    top_slots, thick_t, edges_t = _merge_slots(g, t, b)
+    index = OrderIndex(g, (t, b))
+    _pair_property_check(index)
+    bottom_slots, thick_b, edges_b = _merge_slots(index, 1)
+    top_slots, thick_t, edges_t = _merge_slots(index, 0)
     slot_of = {}
     for i, s in enumerate(top_slots):
         for v in s:
@@ -352,19 +305,13 @@ def ladder_drawing(g: Graph, r1, r2) -> LadderDrawing:
     for i, s in enumerate(bottom_slots):
         for v in s:
             slot_of[v] = (1, i)
-    seg_pairs = set()
-    for u in t:
-        for v in g.neighbors(u):
-            if v in set(b):
-                seg_pairs.add((slot_of[u][1], slot_of[v][1]))
-    segments = sorted(seg_pairs)
+    segments = sorted({(slot_of[u][1], slot_of[v][1]) for u, v in index.cross[0, 1]})
     for (t1, b1), (t2, b2) in itertools.combinations(segments, 2):
         if t1 == t2 or b1 == b2:
             raise InternalLogicError("slot carries two distinct ladder segments")
         if (t1 < t2) != (b1 < b2):
             raise InternalLogicError("ladder segments invert despite property check")
     x_top, x_bottom = _ladder_coordinates(top_slots, bottom_slots, segments)
-    sections = _build_sections(top_slots, bottom_slots, segments)
     return LadderDrawing(
         host=g,
         top=t,
@@ -374,7 +321,6 @@ def ladder_drawing(g: Graph, r1, r2) -> LadderDrawing:
         thick_vertices=tuple(thick_t + thick_b),
         thick_edges=tuple(edges_t + edges_b),
         segments=tuple(segments),
-        sections=tuple(sections),
         x_top=tuple(x_top),
         x_bottom=tuple(x_bottom),
     )
@@ -414,56 +360,6 @@ def _ladder_coordinates(top_slots, bottom_slots, segments):
     return x_top, x_bottom
 
 
-def _build_sections(top_slots, bottom_slots, segments):
-    def members(t_lo, t_hi, b_lo, b_hi):
-        vs = []
-        for s in top_slots[t_lo : t_hi + 1]:
-            vs.extend(s)
-        for s in bottom_slots[b_lo : b_hi + 1]:
-            vs.extend(s)
-        return frozenset(vs)
-
-    sections = []
-    if not segments:
-        sections.append(
-            Section(
-                index=0,
-                boundary=(None, None, None, None),
-                members=members(0, len(top_slots) - 1, 0, len(bottom_slots) - 1),
-            )
-        )
-        return sections
-    first_t, first_b = segments[0]
-    if first_t > 0 or first_b > 0:
-        sections.append(
-            Section(
-                index=0,
-                boundary=(None, None, top_slots[first_t], bottom_slots[first_b]),
-                members=members(0, first_t, 0, first_b),
-            )
-        )
-    for i in range(len(segments) - 1):
-        t1, b1 = segments[i]
-        t2, b2 = segments[i + 1]
-        sections.append(
-            Section(
-                index=i + 1,
-                boundary=(top_slots[t1], bottom_slots[b1], top_slots[t2], bottom_slots[b2]),
-                members=members(t1, t2, b1, b2),
-            )
-        )
-    last_t, last_b = segments[-1]
-    if last_t < len(top_slots) - 1 or last_b < len(bottom_slots) - 1:
-        sections.append(
-            Section(
-                index=len(segments),
-                boundary=(top_slots[last_t], bottom_slots[last_b], None, None),
-                members=members(last_t, len(top_slots) - 1, last_b, len(bottom_slots) - 1),
-            )
-        )
-    return sections
-
-
 # -- placing the third row ---------------------------------------------------
 
 
@@ -485,7 +381,6 @@ class _SweepState:
             for v in s:
                 self.slot_of[v] = (2, i)
         self.placed = []  # (vertex, Fraction x) on row 0, in order
-        self.ladder = ladder
 
     # slot pseudo ids keep shared-endpoint semantics during construction
     def _points(self):
@@ -498,11 +393,10 @@ class _SweepState:
             pts[("z", v)] = (x, Fraction(0))
         return pts
 
-    def _segments(self, extra=()):
+    def _segments(self):
         segs = [(("t", ti), ("b", bi)) for ti, bi in self.verticals]
         for v, _ in self.placed:
             segs.extend(self._down_segments(v))
-        segs.extend(extra)
         return segs
 
     def _down_segments(self, v):
@@ -559,28 +453,9 @@ class _SweepState:
     def vertical_xs(self):
         return sorted(self.x_top[ti] for ti, _ in self.verticals)
 
-    def all_valid(self):
-        return not _geometry_violations(self._segments(), self._points())
-
-    def stretch(self, pivot, delta):
-        """Shift every slot with x >= pivot rightward by delta; the caller must
-        re-validate, since placed segments may reference moved slots."""
-        for i, x in enumerate(self.x_top):
-            if x >= pivot:
-                self.x_top[i] = x + delta
-        for i, x in enumerate(self.x_bottom):
-            if x >= pivot:
-                self.x_bottom[i] = x + delta
-
-    def snapshot(self):
-        return list(self.x_top), list(self.x_bottom)
-
-    def restore(self, snap):
-        self.x_top, self.x_bottom = list(snap[0]), list(snap[1])
-
     def try_place(self, v, x):
         self.placed.append((v, x))
-        ok = self.all_valid()
+        ok = not _geometry_violations(self._segments(), self._points())
         if not ok:
             self.placed.pop()
         return ok
@@ -603,14 +478,14 @@ def _flank_interval(state: _SweepState, w_idx, member_side):
 
 
 def _feasible_interval(state: _SweepState, v, prev_x):
-    """Exact open interval of workable x positions for v, plus stretch advice.
+    """Exact open interval of workable x positions for v.
 
     All crossing constraints are linear in x(v): the midpoint of an edge down
     to the bottom row must stay strictly between the flanking verticals,
     strictly above every earlier row-1 anchor, and ordered against earlier
     midpoints the same way the bottom endpoints are ordered.  Returns
-    (lo, hi, blocked) where blocked carries a slot pivot the caller may
-    stretch to relieve a violated fixed constraint.
+    (lo, hi, blocked) where blocked lists the middle-row slots whose edges
+    from v would invert an earlier anchor whatever x(v) is.
     """
     mids, longs = state.down_targets(v)
     lows = []
@@ -671,91 +546,32 @@ def _candidate_positions(lo, hi, extra_first=()):
     return out
 
 
-def _sweep_top_row(ladder: LadderDrawing, seq, max_stretch=10):
+def _sweep_top_row(ladder: LadderDrawing, seq):
     """Place `seq` as row 0 above the ladder, left to right.
 
     Each vertex gets the leftmost workable position inside its exact
-    feasibility interval; when the interval is empty or a fixed constraint
-    is inverted, the blocking slots are stretched rightward and the attempt
-    repeats (stretches are rolled back if they break placed segments)."""
+    feasibility interval.  A vertex with an empty interval, a fixed
+    inverted constraint or no candidate that keeps the drawing valid
+    raises DrawingConstructionError."""
     state = _SweepState(ladder)
-    g = ladder.host
     for v in seq:
         prev_x = state.placed[-1][1] if state.placed else None
-        stretches = 0
-        while True:
-            lo, hi, blocked = _feasible_interval(state, v, prev_x)
-            if blocked and stretches < max_stretch:
-                snap = state.snapshot()
-                state.stretch(min(blocked), Fraction(4))
-                stretches += 1
-                if state.all_valid():
-                    continue
-                state.restore(snap)
-                raise DrawingConstructionError(
-                    f"no feasible position for vertex {v}", vertex=v
-                )
-            if lo is not None and hi is not None and lo >= hi:
-                if stretches >= max_stretch:
-                    raise DrawingConstructionError(
-                        f"no feasible position for vertex {v}", vertex=v
-                    )
-                snap = state.snapshot()
-                # widen the tightest right flank among v's long edges
-                _, longs = state.down_targets(v)
-                pivots = []
-                for idx, side in longs:
-                    _, hi_f, _ = _flank_interval(state, idx, side)
-                    if hi_f is not None:
-                        pivots.append(hi_f)
-                if not pivots:
-                    raise DrawingConstructionError(
-                        f"no feasible position for vertex {v}", vertex=v
-                    )
-                state.stretch(min(pivots), (lo - hi) + 4)
-                stretches += 1
-                if state.all_valid():
-                    continue
-                state.restore(snap)
-                raise DrawingConstructionError(
-                    f"no feasible position for vertex {v}", vertex=v
-                )
-            vertical_first = []
-            top_targets = []
-            if len(seq) == 1:
-                mids, longs = state.down_targets(v)
-                for idx, _ in longs:
-                    vertical_first.append(state.x_bottom[idx])
-                if not longs and mids:
-                    # no bottom-row edge to pin vertically: center over the span
-                    xs = [state.x_top[i] for i in mids]
-                    top_targets.append((min(xs) + max(xs)) / 2)
-            placed = False
-            for x in _candidate_positions(lo, hi, extra_first=vertical_first + top_targets):
-                if prev_x is not None and x <= prev_x:
-                    continue
-                if state.try_place(v, x):
-                    placed = True
-                    break
-            if placed:
-                break
-            if stretches >= max_stretch:
-                raise DrawingConstructionError(f"no feasible position for vertex {v}", vertex=v)
-            snap = state.snapshot()
-            _, longs = state.down_targets(v)
-            pivots = []
-            for idx, side in longs:
-                _, hi_f, _ = _flank_interval(state, idx, side)
-                if hi_f is not None:
-                    pivots.append(hi_f)
-            pivot = min(pivots) if pivots else max(state.x_top + state.x_bottom) + 1
-            state.stretch(pivot, Fraction(4))
-            stretches += 1
-            if not state.all_valid():
-                state.restore(snap)
-                raise DrawingConstructionError(
-                    f"no feasible position for vertex {v}", vertex=v
-                )
+        lo, hi, blocked = _feasible_interval(state, v, prev_x)
+        if blocked or (lo is not None and hi is not None and lo >= hi):
+            raise DrawingConstructionError(f"no feasible position for vertex {v}", vertex=v)
+        first = []
+        if len(seq) == 1:
+            mids, longs = state.down_targets(v)
+            first = [state.x_bottom[idx] for idx, _ in longs]
+            if not longs and mids:
+                # no bottom-row edge to pin vertically: center over the span
+                xs = [state.x_top[i] for i in mids]
+                first.append((min(xs) + max(xs)) / 2)
+        candidates = _candidate_positions(lo, hi, extra_first=first)
+        if not any(
+            state.try_place(v, x) for x in candidates if prev_x is None or x > prev_x
+        ):
+            raise DrawingConstructionError(f"no feasible position for vertex {v}", vertex=v)
     return state
 
 
@@ -865,16 +681,20 @@ def build_standard_drawing(g: Graph) -> StandardDrawing:
         return _draw_one_nontrivial(g, nontrivial[0], trivial[0], trivial[1])
     if len(nontrivial) == 2:
         return _draw_two_nontrivial(g, nontrivial, trivial[0])
-    pair = _ladder_pair(g, cs.chains)
-    p1, p2 = pair
+    p1, p2 = _ladder_pair(g, cs.chains)
     p3 = next(c for c in cs.chains if c is not p1 and c is not p2)
     violations = check_parallel_properties(g, p1.seq, p2.seq, p3.seq)
     if violations:
         raise InternalLogicError(
             f"repaired chains violate parallel-path properties: {violations[:3]}"
         )
-    ladder = ladder_drawing(g, p1, p2)
-    return place_third(g, ladder, p3)
+    # the sweep can stick with the ladder one way up and not the other
+    for top, bottom in ((p1, p2), (p2, p1)):
+        try:
+            return place_third(g, ladder_drawing(g, top, bottom), p3)
+        except DrawingConstructionError as exc:
+            last_error = exc
+    raise last_error
 
 
 def _ladder_pair(g: Graph, chains):

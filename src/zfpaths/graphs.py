@@ -149,10 +149,6 @@ def complete_bipartite(a, b):
     return Graph(a + b, [(i, a + j) for i in range(a) for j in range(b)])
 
 
-def empty_graph(n):
-    return Graph(n)
-
-
 def fig8_graph(lengths):
     """Five-cycle 0..4 with a pendant path of the given length at each cycle vertex."""
     if len(lengths) != 5 or any(l < 1 for l in lengths):

@@ -68,18 +68,30 @@ def _builtin_corpus(n_max):
 
 
 def _load_done(path):
+    """Records of an earlier run, keyed by graph.
+
+    A last line without its newline was torn by a run killed mid-write: it
+    is dropped and cut from the file, so that appended records start on a
+    line of their own.  Any other line that does not parse raises OSError.
+    """
     done = {}
-    if path and os.path.exists(path):
-        with open(path, "r", encoding="utf-8") as fh:
-            for lineno, line in enumerate(fh, 1):
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    rec = json.loads(line)
-                    done[rec["graph"]] = rec
-                except (ValueError, KeyError) as exc:
-                    raise OSError(f"corrupt resume file {path}, line {lineno}: {exc}") from exc
+    if not (path and os.path.exists(path)):
+        return done
+    with open(path, "rb") as fh:
+        lines = fh.readlines()
+    if lines and not lines[-1].endswith(b"\n"):
+        with open(path, "r+b") as fh:
+            fh.truncate(sum(len(line) for line in lines[:-1]))
+        lines.pop()
+    for lineno, line in enumerate(lines, 1):
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            rec = json.loads(line)
+            done[rec["graph"]] = rec
+        except (ValueError, KeyError) as exc:
+            raise OSError(f"corrupt resume file {path}, line {lineno}: {exc}") from exc
     return done
 
 

@@ -10,7 +10,6 @@ eigensolver, independent of the LAPACK path used inside the optimizer.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -461,7 +460,3 @@ def classify(g: Graph) -> Classification:
     if flag:
         return Classification(tag=TAG_FIG8, f=f, m=2, mr=g.n - 2)
     return Classification(tag=TAG_THREE, f=f, m=3, mr=g.n - 3)
-
-
-def certificate_to_json(cert: NullityCertificate):
-    return json.dumps(cert.to_json_obj())

@@ -3,6 +3,8 @@ import itertools
 import pytest
 
 from zfpaths.chains import (
+    Chain,
+    ChainSet,
     bad_vertices,
     chains_for,
     check_order_lemmas,
@@ -225,3 +227,25 @@ def test_order_lemmas_single_chain_vacuous():
 
 def test_order_lemmas_k4():
     assert check_order_lemmas(chains_for(complete_graph(4), [0, 1, 2])).passed
+
+
+def _hand_built(g, seqs):
+    # chains taken as given, with the run of their heads for the step order
+    origin = frozenset(seq[0] for seq in seqs)
+    return ChainSet(
+        chains=tuple(Chain(seq) for seq in seqs), host=g, origin=origin, run=closure(g, origin).run
+    )
+
+
+def test_order_lemmas_flag_inverting_pair():
+    g = Graph(4, [(0, 1), (2, 3), (0, 3), (1, 2)])
+    report = check_order_lemmas(_hand_built(g, [(0, 1), (2, 3)]))
+    assert ("no_inverting_pair", (0, 3, 1, 2)) in report.violations
+    assert report.by_lemma()["no_inverting_pair"] is False
+
+
+def test_order_lemmas_flag_inverting_triple():
+    g = Graph(6, [(0, 1), (2, 3), (4, 5), (0, 3), (2, 5), (1, 4)])
+    report = check_order_lemmas(_hand_built(g, [(0, 1), (2, 3), (4, 5)]))
+    assert ("no_inverting_triple", (0, 3, 2, 5, 1, 4)) in report.violations
+    assert report.by_lemma()["no_inverting_triple"] is False

@@ -1,4 +1,5 @@
 import json
+import random
 from fractions import Fraction
 
 import pytest
@@ -19,6 +20,7 @@ from zfpaths.drawing import (
 )
 from zfpaths.errors import (
     ContractError,
+    DrawingConstructionError,
     NotLadderDrawableError,
     UnsupportedInputError,
     UnsupportedSizeError,
@@ -108,8 +110,6 @@ def test_ladder_plain_c4():
     lad = ladder_drawing(g, (0, 1), (2, 3))
     assert lad.segments == ((0, 0), (1, 1))
     assert lad.thick_vertices == ()
-    assert [s.index for s in lad.sections] == [1]
-    assert lad.sections[0].members == frozenset(range(4))
 
 
 def test_ladder_thick_merge():
@@ -125,8 +125,6 @@ def test_ladder_no_cross_edges():
     g = Graph(4, [(0, 1), (2, 3)])
     lad = ladder_drawing(g, (0, 1), (2, 3))
     assert lad.segments == ()
-    assert len(lad.sections) == 1
-    assert lad.sections[0].members == frozenset(range(4))
 
 
 def test_ladder_rejects_inverting_pair():
@@ -173,6 +171,41 @@ def test_parallel_property_scan_flags_violation():
     g = Graph(6, [(0, 1), (2, 3), (0, 3), (1, 2), (4, 5)])
     violations = check_parallel_properties(g, (0, 1), (2, 3), (4, 5))
     assert any(num == 3 for num, _ in violations)
+    # 0-3 then 2-5 then 1-4: the third segment inverts against the first two
+    g = Graph(6, [(0, 1), (2, 3), (4, 5), (0, 3), (2, 5), (1, 4)])
+    violations = check_parallel_properties(g, (0, 1), (2, 3), (4, 5))
+    assert (4, (0, 3, 2, 5, 1, 4)) in violations
+    # 0 meets the third path at positions 0 and 2
+    g = Graph(7, [(0, 1), (2, 3), (4, 5), (5, 6), (0, 4), (0, 6)])
+    assert check_parallel_properties(g, (0, 1), (2, 3), (4, 5, 6)) == [(5, (0, 2))]
+
+
+# F = 3 graphs on which the sweep finds no position for the third row with
+# the ladder one way up, but does with it the other way up
+LADDER_ORDER_GRAPHS = ("KaGS?O@s?H@o", "KIG?K?W[?H@H")
+
+
+@pytest.mark.parametrize("code", LADDER_ORDER_GRAPHS)
+def test_drawing_tries_both_ladder_orders(code):
+    base = parse_graph6(code)
+    rng = random.Random(20261018)
+    graphs = [base]
+    for _ in range(50):
+        perm = list(range(base.n))
+        rng.shuffle(perm)
+        graphs.append(base.relabel(perm))
+    for g in graphs:
+        d = build_parallel_drawing(g)
+        assert d.k == 3
+        assert verify_drawing(g, d).ok
+
+
+def test_sweep_reports_stuck_vertex():
+    g = parse_graph6("KaGS?O@s?H@o")
+    lad = ladder_drawing(g, (0, 6, 11, 4, 2), (1, 9))
+    with pytest.raises(DrawingConstructionError) as exc:
+        place_third(g, lad, (3, 5, 10, 8, 7))
+    assert exc.value.vertex == 3
 
 
 # -- figure 6 / figure 7 construction ---------------------------------------------

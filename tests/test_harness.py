@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from zfpaths.cli import main
 from zfpaths.errors import UnsupportedInputError
 from zfpaths.harness import ALL_CHECKS, diff_reports, run_suite
 
@@ -93,6 +94,22 @@ def test_corrupt_resume_file_is_io_error(tmp_path):
     out.write_text("this is not json\n")
     with pytest.raises(OSError):
         run_suite(2, out_path=str(out), resume=True)
+    # a bad line followed by a good one was not torn by a killed run
+    out.write_text("{torn\n" + json.dumps({"graph": "A_"}) + "\n")
+    with pytest.raises(OSError):
+        run_suite(2, out_path=str(out), resume=True)
+
+
+def test_resume_drops_torn_last_line(tmp_path):
+    # a run killed mid-write leaves the last record without its newline
+    out = tmp_path / "r.jsonl"
+    assert main(["verify", "--nmax", "4", "--out", str(out)]) == 0
+    out.write_bytes(out.read_bytes()[:-40])
+    resumed = run_suite(4, out_path=str(out), resume=True)
+    assert diff_reports(run_suite(4), resumed) == ""
+    lines = out.read_text().splitlines()
+    assert len(lines) == resumed.cursor
+    assert all(json.loads(line)["graph"] for line in lines)
 
 
 def test_all_checks_constant():
