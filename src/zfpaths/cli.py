@@ -175,13 +175,12 @@ def _cmd_nullity(args):
         print(json.dumps(result.to_json_obj()))
         print(f"certified nullity {result.k} (gap {result.gap:.2e})", file=sys.stderr)
     else:
+        keys = ("target", "best_k", "left_pattern")
+        print(json.dumps({"achieved": False, **{k: getattr(result, k) for k in keys}}))
         print(
-            json.dumps(
-                {"achieved": False, "target": result.target, "best_k": result.best_k}
-            )
-        )
-        print(
-            f"target {result.target} not achieved; best certified {result.best_k}",
+            f"target {result.target} not achieved; best certified {result.best_k}; "
+            f"{result.left_pattern} of {result.restarts} restarts ended with an edge "
+            "weight below the pattern minimum",
             file=sys.stderr,
         )
     return 0

@@ -2,9 +2,9 @@
 
 A pattern matrix for a graph has arbitrary diagonal, nonzero entries on
 edges, and exact zeros elsewhere.  The maximum nullity over such matrices
-is bounded above by the forcing number; lower bounds are produced here by
-driving the smallest eigenvalues to zero with gradient descent and
-certifying the result.  Certificates are validated with an in-house Jacobi
+is bounded above by the forcing number; numerical lower bounds are produced
+here by driving the smallest eigenvalues to zero with gradient descent and
+certifying the result.  Certificates are checked with an in-house Jacobi
 eigensolver, independent of the LAPACK path used inside the optimizer.
 """
 
@@ -42,12 +42,8 @@ class PatternMatrix:
             raise ContractError(f"edge weights below {EDGE_MIN}: {small}")
 
     def as_array(self):
-        a = np.zeros((self.host.n, self.host.n))
-        for i, d in enumerate(self.diag):
-            a[i, i] = d
-        for (u, v), w in self.weights.items():
-            a[u, v] = a[v, u] = w
-        return a
+        weights = [self.weights[e] for e in self.host.edges]
+        return assemble(edge_ends(self.host), self.diag, weights)
 
     def to_json_obj(self, eigenvalues=None, k=None):
         obj = {
@@ -71,6 +67,21 @@ def pattern_from_json_obj(obj) -> PatternMatrix:
         u, v = key.split("-")
         weights[(int(u), int(v))] = w
     return PatternMatrix(host=host, diag=tuple(obj["diag"]), weights=weights)
+
+
+def edge_ends(g: Graph):
+    """Index arrays (us, vs) of the edge endpoints, in the order of g.edges."""
+    return tuple(np.array(g.edges, dtype=np.intp).reshape(-1, 2).T)
+
+
+def assemble(ends, diag, weights):
+    """The symmetric matrix with this diagonal and weights[i] on edge i."""
+    us, vs = ends
+    n = len(diag)
+    a = np.zeros((n, n))
+    a.reshape(-1)[:: n + 1] = diag
+    a[us, vs] = a[vs, us] = weights
+    return a
 
 
 # -- dense symmetric eigensolver (cyclic Jacobi) -----------------------------
@@ -139,22 +150,24 @@ def jacobi_eigenvalues(a, with_vectors=False):
     return (vals, v) if with_vectors else vals
 
 
-def spectrum(a: PatternMatrix):
-    """All eigenvalues in ascending order."""
+def _eigenvalues_and_scale(a: PatternMatrix):
+    """Ascending Jacobi eigenvalues and the zero threshold's scale max(1, ||A||_F)."""
     if a.host.n > _SPECTRUM_CAP:
         raise UnsupportedSizeError(f"spectrum capped at n = {_SPECTRUM_CAP}")
-    if a.host.n == 0:
-        return ()
-    return tuple(jacobi_eigenvalues(a.as_array()))
+    arr = a.as_array()
+    return jacobi_eigenvalues(arr), max(1.0, float(np.linalg.norm(arr)))
+
+
+def spectrum(a: PatternMatrix):
+    """All eigenvalues in ascending order."""
+    return tuple(_eigenvalues_and_scale(a)[0])
 
 
 def nullity_of(a: PatternMatrix, tol_zero=TOL_ZERO):
     """Count of eigenvalues below the relative zero threshold."""
     if tol_zero <= 0:
         raise ContractError("tol_zero must be positive")
-    arr = a.as_array()
-    scale = max(1.0, float(np.linalg.norm(arr)))
-    vals = spectrum(a)
+    vals, scale = _eigenvalues_and_scale(a)
     return sum(1 for lam in vals if abs(lam) < tol_zero * scale)
 
 
@@ -181,6 +194,7 @@ class NotAchieved:
     target: int
     best_k: int
     restarts: int
+    left_pattern: int  # restarts whose last iterate had a weight below EDGE_MIN
 
 
 def certificate_from_json_obj(obj) -> NullityCertificate:
@@ -192,114 +206,83 @@ def certificate_from_json_obj(obj) -> NullityCertificate:
 
 
 def certify(pm: PatternMatrix, k):
-    """Certificate for nullity k, or None when the invariants fail.
+    """Numerical certificate for nullity k (1 <= k <= n), or None when a check fails.
 
-    The k smallest absolute eigenvalues must sit below the zero threshold
-    with a tenfold gap to the next one, and k may not exceed the forcing
-    number on small subcubic hosts.
+    The k smallest |eigenvalues| from the in-house Jacobi solver, not the
+    optimizer's LAPACK path, must lie below TOL_ZERO * max(1, ||A||_F); the
+    next must be GAP_FACTOR times that threshold or more; and k may not
+    exceed the forcing number on subcubic hosts with n <= 12.  This is a
+    float check, not a proof.
     """
-    arr = pm.as_array()
-    scale = max(1.0, float(np.linalg.norm(arr)))
-    vals = jacobi_eigenvalues(arr)
+    if not 1 <= k <= pm.host.n:
+        raise ContractError(f"k must lie in 1..{pm.host.n}, got {k}")
+    vals, scale = _eigenvalues_and_scale(pm)
     by_abs = sorted(vals, key=abs)
-    if k > len(by_abs):
-        return None
     if any(abs(lam) >= TOL_ZERO * scale for lam in by_abs[:k]):
         return None
     gap = abs(by_abs[k]) if k < len(by_abs) else math.inf
     if gap < GAP_FACTOR * TOL_ZERO * scale:
         return None
-    host = pm.host
-    if host.max_degree() <= 3 and host.n <= _MG_CHECK_CAP:
-        if k > forcing_number(host)[0]:
+    if pm.host.max_degree() <= 3 and pm.host.n <= _MG_CHECK_CAP:
+        if k > forcing_number(pm.host)[0]:
             return None
     return NullityCertificate(
         matrix=pm, k=k, eigenvalues=tuple(by_abs), tol_zero=TOL_ZERO, gap=gap
     )
 
 
-def _objective(g: Graph, diag, weights, target):
+def _objective(ends, diag, weights, target):
     """Sum of the target smallest squared eigenvalues plus the pattern penalty,
-    with its gradient in (diag, weights) coordinates."""
-    n = g.n
-    a = np.zeros((n, n))
-    a[np.arange(n), np.arange(n)] = diag
-    for idx, (u, v) in enumerate(g.edges):
-        a[u, v] = a[v, u] = weights[idx]
-    vals, vecs = np.linalg.eigh(a)
-    order = np.argsort(np.abs(vals))
-    selected = order[:target]
+    and its gradient in (diag, weights) coordinates: an eigenvalue's gradient
+    averages v v^T over its cluster of equal eigenvalues, doubled off the
+    diagonal because a weight occupies two symmetric matrix entries."""
+    a = assemble(ends, diag, weights)
+    vals, vecs = np.linalg.eigh(a)  # ascending
     scale = max(1.0, float(np.linalg.norm(a)))
-    # group equal eigenvalues; gradients average over each degenerate cluster
-    sorted_idx = np.argsort(vals)
-    cluster_of = {}
-    current = [sorted_idx[0]] if n else []
-    clusters = []
-    for i in sorted_idx[1:]:
-        if abs(vals[i] - vals[current[-1]]) < _CLUSTER_REL * scale:
-            current.append(i)
+    selected = np.argsort(np.abs(vals))[:target]
+    lam = vals[selected]
+    cluster = np.zeros(len(vals), dtype=np.intp)
+    np.cumsum(vals[1:] - vals[:-1] >= _CLUSTER_REL * scale, out=cluster[1:])
+    sizes = np.bincount(cluster)
+    coef = np.bincount(cluster[selected], weights=2.0 * lam, minlength=len(sizes)) / sizes
+    grad_mat = (vecs * coef[cluster]) @ vecs.T
+    short = np.maximum(EDGE_MIN - np.abs(weights), 0.0)  # the penalty is _PENALTY * short^2
+    f = float(lam @ lam + _PENALTY * (short @ short))
+    us, vs = ends
+    grad_w = 2.0 * grad_mat[us, vs] - 2.0 * _PENALTY * np.copysign(short, weights)
+    return f, grad_mat.diagonal(), grad_w
+
+
+def _descent(ends, diag, weights, target, iters):
+    """Gradient descent whose step grows on success and halves on failure; yields
+    the iterate every 25 steps while f < 1e-12, and the last iterate."""
+    step = 0.05
+    f, gd, gw = _objective(ends, diag, weights, target)
+    for it in range(iters):
+        trial_d = diag - step * gd
+        trial_w = weights - step * gw
+        f2, gd2, gw2 = _objective(ends, trial_d, trial_w, target)
+        # strict improvement only: accepting f2 == f lets a step of 1.0
+        # oscillate between sign-flipped iterates forever
+        if math.isfinite(f2) and f2 < f:
+            diag, weights, f, gd, gw = trial_d, trial_w, f2, gd2, gw2
+            step = min(step * 1.2, 1.0)
         else:
-            clusters.append(current)
-            current = [i]
-    if len(current):
-        clusters.append(current)
-    for cl in clusters:
-        for i in cl:
-            cluster_of[i] = cl
-    f = 0.0
-    grad_mat = np.zeros((n, n))
-    for i in selected:
-        lam = vals[i]
-        f += lam * lam
-        cl = cluster_of[i]
-        mean_outer = np.zeros((n, n))
-        for j in cl:
-            mean_outer += np.outer(vecs[:, j], vecs[:, j])
-        mean_outer /= len(cl)
-        grad_mat += 2.0 * lam * mean_outer
-    grad_diag = np.diag(grad_mat).copy()
-    grad_w = np.zeros(len(g.edges))
-    for idx, (u, v) in enumerate(g.edges):
-        grad_w[idx] = 2.0 * grad_mat[u, v]
-    for idx in range(len(g.edges)):
-        w = weights[idx]
-        short = EDGE_MIN - abs(w)
-        if short > 0:
-            f += _PENALTY * short * short
-            grad_w[idx] += -2.0 * _PENALTY * short * math.copysign(1.0, w if w else 1.0)
-    return f, grad_diag, grad_w
+            step *= 0.5
+            if step < 1e-14:
+                break
+        if (it + 1) % 25 == 0 and f < 1e-12:
+            yield diag, weights
+    yield diag, weights
 
 
-def eigenvalue_gradient(g: Graph, diag, weights, index):
-    """Gradient of one (simple) eigenvalue in (diag, weights) coordinates.
-
-    Entry derivatives are v_u*v_v, doubled off the diagonal because a weight
-    occupies two symmetric matrix entries.
-    """
-    n = g.n
-    a = np.zeros((n, n))
-    a[np.arange(n), np.arange(n)] = diag
-    for idx, (u, v) in enumerate(g.edges):
-        a[u, v] = a[v, u] = weights[idx]
-    vals, vecs = np.linalg.eigh(a)
-    vec = vecs[:, index]
-    grad_diag = vec * vec
-    grad_w = np.array([2.0 * vec[u] * vec[v] for u, v in g.edges])
-    return vals[index], grad_diag, grad_w
-
-
-def _certify_best(pm_args, target):
+def _certify_best(g: Graph, diag, weights, target):
     """Largest k <= target that certifies on this matrix, with its certificate."""
-    g, diag, weights = pm_args
-    if not (np.all(np.isfinite(diag)) and np.all(np.isfinite(weights))):
+    finite = np.all(np.isfinite(diag)) and np.all(np.isfinite(weights))
+    if not finite or np.any(np.abs(weights) < EDGE_MIN):
         return 0, None
-    if any(abs(w) < EDGE_MIN for w in weights):
-        return 0, None
-    pm = PatternMatrix(
-        host=g,
-        diag=tuple(float(d) for d in diag),
-        weights={e: float(weights[i]) for i, e in enumerate(g.edges)},
-    )
+    weights_by_edge = dict(zip(g.edges, map(float, weights)))
+    pm = PatternMatrix(host=g, diag=tuple(map(float, diag)), weights=weights_by_edge)
     for k in range(target, 0, -1):
         cert = certify(pm, k)
         if cert is not None:
@@ -310,47 +293,31 @@ def _certify_best(pm_args, target):
 def maximize_nullity(g: Graph, target, budget=(50, 2000), seed=0):
     """Lower-bound search: drive the target smallest eigenvalues to zero.
 
-    Runs gradient descent with restart seeds seed, seed+1, ...; returns the
+    Runs adaptive-step gradient descent on the sum of the target smallest
+    squared eigenvalues, with restart seeds seed, seed+1, ...; returns the
     first certificate reaching the target, else NotAchieved with the best
-    certified k seen.  Certified results are sound lower bounds on the
-    maximum nullity; failure proves nothing.
+    certified k seen.  A certificate is numerical, not a proof (see
+    `certify` for what it checks); failure proves nothing.
     """
     if g.n > _OPT_CAP:
         raise UnsupportedSizeError(f"nullity optimization capped at n = {_OPT_CAP}")
     if not 1 <= target <= g.n:
         raise ContractError(f"target must lie in 1..{g.n}")
     restarts, iters = budget
+    ends = edge_ends(g)
     m = len(g.edges)
-    best_k = 0
+    best_k = left_pattern = 0
     for r in range(restarts):
         rng = np.random.default_rng(seed + r)
         diag = rng.uniform(-1.0, 1.0, g.n)
         weights = rng.uniform(0.5, 1.5, m) * rng.choice([-1.0, 1.0], m)
-        step = 0.05
-        f, gd, gw = _objective(g, diag, weights, target)
-        for it in range(iters):
-            trial_d = diag - step * gd
-            trial_w = weights - step * gw
-            f2, gd2, gw2 = _objective(g, trial_d, trial_w, target)
-            # strict improvement only: accepting f2 == f lets a step of 1.0
-            # oscillate between sign-flipped iterates forever
-            if math.isfinite(f2) and f2 < f:
-                diag, weights, f, gd, gw = trial_d, trial_w, f2, gd2, gw2
-                step = min(step * 1.2, 1.0)
-            else:
-                step *= 0.5
-                if step < 1e-14:
-                    break
-            if (it + 1) % 25 == 0 and f < 1e-12:
-                k, cert = _certify_best((g, diag, weights), target)
-                best_k = max(best_k, k)
-                if cert is not None and k == target:
-                    return cert
-        k, cert = _certify_best((g, diag, weights), target)
-        best_k = max(best_k, k)
-        if cert is not None and k == target:
-            return cert
-    return NotAchieved(target=target, best_k=best_k, restarts=restarts)
+        for diag, weights in _descent(ends, diag, weights, target, iters):
+            k, cert = _certify_best(g, diag, weights, target)
+            best_k = max(best_k, k)
+            if k == target:
+                return cert
+        left_pattern += bool(np.any(np.abs(weights) < EDGE_MIN))
+    return NotAchieved(target=target, best_k=best_k, restarts=restarts, left_pattern=left_pattern)
 
 
 # -- the degree-three family with forcing number 3 and nullity 2 -------------

@@ -1,10 +1,13 @@
-"""Shared test oracles, deliberately independent of the library internals."""
+"""Shared test oracles, deliberately independent of the library internals,
+and the finite-difference check of the nullity objective."""
 
 import random
 
+import numpy as np
 import pytest
 
 from zfpaths.graphs import Graph
+from zfpaths.nullity import _objective, assemble, edge_ends
 
 
 def sequential_closure(g: Graph, colored):
@@ -35,6 +38,47 @@ def random_graph(rng: random.Random, n, p=0.4, max_degree=None):
             e = rng.choice(victims)
             g = Graph(n, [x for x in g.edges if x != e])
     return g
+
+
+def objective_gradient_errors(nprng, pool, points=100, h=1e-5):
+    """Vector-relative distance between the gradient `_objective` returns and
+    central finite differences of its value, at `points` random points.
+
+    The target is drawn from 1..n.  A point is skipped where the objective is
+    not smooth: two eigenvalues within 1e-3, or the target-th and
+    (target+1)-th smallest |eigenvalues| within 1e-3.  Every second point has
+    one edge weight of magnitude in [2e-4, 8e-4], where the pattern penalty
+    is active.
+    """
+    errors = []
+    while len(errors) < points:
+        g = pool[nprng.integers(len(pool))]
+        ends, m = edge_ends(g), len(g.edges)
+        diag = nprng.uniform(-1, 1, g.n)
+        w = nprng.uniform(0.5, 1.5, m) * nprng.choice([-1.0, 1.0], m)
+        if len(errors) % 2:
+            i = nprng.integers(m)
+            w[i] = np.copysign(nprng.uniform(2e-4, 8e-4), w[i])
+        target = int(nprng.integers(1, g.n + 1))
+        vals = np.linalg.eigvalsh(assemble(ends, diag, w))
+        by_abs = np.sort(np.abs(vals))
+        if np.min(np.diff(vals)) < 1e-3:
+            continue
+        if target < g.n and by_abs[target] - by_abs[target - 1] < 1e-3:
+            continue
+        x = np.concatenate([diag, w])
+        _, gd, gw = _objective(ends, diag, w, target)
+        fd = np.empty(len(x))
+        for j in range(len(x)):
+            xp, xm = x.copy(), x.copy()
+            xp[j] += h
+            xm[j] -= h
+            fp = _objective(ends, xp[: g.n], xp[g.n :], target)[0]
+            fm = _objective(ends, xm[: g.n], xm[g.n :], target)[0]
+            fd[j] = (fp - fm) / (2 * h)
+        analytic = np.concatenate([gd, gw])
+        errors.append(np.linalg.norm(fd - analytic) / max(1.0, np.linalg.norm(fd)))
+    return errors
 
 
 @pytest.fixture

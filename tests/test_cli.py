@@ -94,7 +94,23 @@ def test_nullity_not_achieved(capsys):
     code, out, _ = run_cli(capsys, "nullity", "P4", "--target", "2", "--budget", "2x100")
     assert code == 0
     payload = json.loads(out)
-    assert payload == {"achieved": False, "target": 2, "best_k": payload["best_k"]}
+    assert payload == {
+        "achieved": False,
+        "target": 2,
+        "best_k": payload["best_k"],
+        "left_pattern": payload["left_pattern"],
+    }
+
+
+def test_nullity_counts_restarts_that_left_the_pattern(capsys):
+    # every figure-8 target-3 restart pushes one edge weight below EDGE_MIN,
+    # so nothing certifies and best_k stays 0
+    argv = ["nullity", "fig8:1,1,1,1,1", "--target", "3", "--budget", "2x2000", "--seed", "2024"]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["best_k"] == 0 and payload["left_pattern"] == 2
+    assert "2 of 2 restarts" in err
 
 
 def test_search_draw(capsys):

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from conftest import objective_gradient_errors
 from zfpaths.errors import ContractError, UnsupportedSizeError
 from zfpaths.forcing import forcing_number
 from zfpaths.graphs import (
@@ -16,14 +17,19 @@ from zfpaths.graphs import (
     path_graph,
 )
 from zfpaths.nullity import (
+    _CLUSTER_REL,
+    _PENALTY,
+    EDGE_MIN,
     Classification,
     NotAchieved,
     NullityCertificate,
     PatternMatrix,
+    _objective,
+    assemble,
     certificate_from_json_obj,
     certify,
     classify,
-    eigenvalue_gradient,
+    edge_ends,
     is_figure8,
     jacobi_eigenvalues,
     maximize_nullity,
@@ -101,47 +107,55 @@ def test_spectrum_size_cap():
 
 
 def test_eigenvalue_gradient_matches_finite_differences():
-    # vector-relative agreement at non-degenerate points
-    nprng = np.random.default_rng(42)
-    corpus = enumerate_connected_subcubic(6)
-    h = 1e-5
-    tested = 0
-    while tested < 100:
-        g = corpus[nprng.integers(len(corpus))]
+    errors = objective_gradient_errors(
+        np.random.default_rng(42), enumerate_connected_subcubic(6)
+    )
+    assert len(errors) == 100 and max(errors) <= 1e-5
+
+
+def _objective_by_loops(g, diag, weights, target):
+    """The objective one eigenpair and one edge at a time, as a reference."""
+    a = assemble(edge_ends(g), diag, weights)
+    vals, vecs = np.linalg.eigh(a)
+    scale = max(1.0, np.linalg.norm(a))
+    clusters = [[0]]
+    for i in range(1, g.n):
+        if vals[i] - vals[i - 1] < _CLUSTER_REL * scale:
+            clusters[-1].append(i)
+        else:
+            clusters.append([i])
+    f, grad = 0.0, np.zeros((g.n, g.n))
+    for i in np.argsort(np.abs(vals))[:target]:
+        cl = next(c for c in clusters if i in c)
+        f += vals[i] ** 2
+        grad += 2 * vals[i] * sum(np.outer(vecs[:, j], vecs[:, j]) for j in cl) / len(cl)
+    grad_w = np.array([2 * grad[u, v] for u, v in g.edges])
+    for i, w in enumerate(weights):
+        short = EDGE_MIN - abs(w)
+        if short > 0:
+            f += _PENALTY * short**2
+            grad_w[i] -= 2 * _PENALTY * short * math.copysign(1.0, w)
+    return f, np.diag(grad), grad_w
+
+
+def test_objective_matches_loop_reference():
+    # covers what finite differences cannot: clusters of equal eigenvalues
+    nprng = np.random.default_rng(7)
+    pool = list(enumerate_connected_subcubic(6)) + [cycle_graph(4), complete_graph(4)]
+    for t in range(200):
+        g = pool[nprng.integers(len(pool))]
+        m = len(g.edges)
         diag = nprng.uniform(-1, 1, g.n)
-        w = nprng.uniform(0.5, 1.5, len(g.edges)) * nprng.choice([-1.0, 1.0], len(g.edges))
-        a = np.zeros((g.n, g.n))
-        a[np.arange(g.n), np.arange(g.n)] = diag
-        for i, (u, v) in enumerate(g.edges):
-            a[u, v] = a[v, u] = w[i]
-        vals = np.linalg.eigvalsh(a)
-        if np.min(np.diff(np.sort(vals))) < 1e-3:
-            continue
-        tested += 1
-        idx = int(nprng.integers(g.n))
-        _, gd, gw = eigenvalue_gradient(g, diag, w, idx)
-        fd_d = np.empty(g.n)
-        for j in range(g.n):
-            dp, dm = diag.copy(), diag.copy()
-            dp[j] += h
-            dm[j] -= h
-            fd_d[j] = (
-                eigenvalue_gradient(g, dp, w, idx)[0]
-                - eigenvalue_gradient(g, dm, w, idx)[0]
-            ) / (2 * h)
-        fd_w = np.empty(len(g.edges))
-        for j in range(len(g.edges)):
-            wp, wm = w.copy(), w.copy()
-            wp[j] += h
-            wm[j] -= h
-            fd_w[j] = (
-                eigenvalue_gradient(g, diag, wp, idx)[0]
-                - eigenvalue_gradient(g, diag, wm, idx)[0]
-            ) / (2 * h)
-        fd = np.concatenate([fd_d, fd_w])
-        analytic = np.concatenate([gd, gw])
-        rel = np.linalg.norm(fd - analytic) / max(1.0, np.linalg.norm(fd))
-        assert rel <= 1e-5
+        w = nprng.uniform(0.5, 1.5, m) * nprng.choice([-1.0, 1.0], m)
+        if t % 2:  # unit patterns with a constant diagonal have repeated eigenvalues
+            diag, w = np.full(g.n, float(nprng.integers(-1, 2))), np.sign(w)
+        if t % 3 == 0:
+            w[nprng.integers(m)] = nprng.uniform(-2e-3, 2e-3)
+        target = int(nprng.integers(1, g.n + 1))
+        got = _objective(edge_ends(g), diag, w, target)
+        want = _objective_by_loops(g, diag, w, target)
+        for x, y in zip(got, want):
+            assert np.allclose(x, y, rtol=1e-12, atol=1e-12)
 
 
 # -- the optimizer ----------------------------------------------------------------------
@@ -172,6 +186,15 @@ def test_all_ones_matrix_certifies_k4():
     pm = unit_pattern(complete_graph(4), diag=1.0)
     cert = certify(pm, 3)
     assert cert is not None and cert.k == 3
+
+
+@pytest.mark.parametrize("k", [-2, 0, 4])
+def test_certify_rejects_k_outside_one_to_n(k):
+    pm = unit_pattern(path_graph(3))
+    with pytest.raises(ContractError):
+        certify(pm, k)
+    with pytest.raises(ContractError):
+        certificate_from_json_obj(json.loads(json.dumps(pm.to_json_obj(k=k))))
 
 
 def test_not_achieved_carries_best_k():
