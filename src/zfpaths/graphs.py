@@ -9,8 +9,6 @@ from __future__ import annotations
 import itertools
 from functools import lru_cache
 
-import numpy as np
-
 from .errors import (
     GraphFormatError,
     InvalidSequenceError,
@@ -265,78 +263,54 @@ def is_induced_path(g, seq):
     return True
 
 
-# -- canonical forms (brute force over all relabelings) --------------------
+# -- canonical forms (exact search for the minimum relabeling) -------------
 
-_ISO_CAP = 10
-_PERM_CHUNK = 200_000
-
-
-@lru_cache(maxsize=8)
-def _perm_tables(n):
-    """All n! permutations and the pair-index gather table, for small n."""
-    perms = np.array(list(itertools.permutations(range(n))), dtype=np.int8)
-    pairs = _pair_order(n)
-    pidx = np.zeros((n, n), dtype=np.int16)
-    for t, (i, j) in enumerate(pairs):
-        pidx[i, j] = pidx[j, i] = t
-    rows = perms[:, [i for i, _ in pairs]].astype(np.intp)
-    cols = perms[:, [j for _, j in pairs]].astype(np.intp)
-    gather = pidx[rows, cols]
-    return perms, gather
-
-
-def _bit_vector(g):
-    pairs = _pair_order(g.n)
-    v = np.zeros(len(pairs), dtype=np.uint64)
-    for t, (i, j) in enumerate(pairs):
-        if g.adjacent(i, j):
-            v[t] = 1
-    return v
+ISO_CAP = 10
 
 
 def canonical_form(g):
     """Minimum graph6 encoding over all vertex relabelings.
 
-    Equal strings characterize isomorphic graphs.  Capped at n = 10; the
-    permutation sweep is factorial by design (desk scale, auditable).
+    Equal strings characterize isomorphic graphs.  The search assigns labels
+    0, 1, 2, ... in turn.  In graph6 bit order, column j holds the edges
+    from label j to labels 0..j-1, so it depends only on the vertices that
+    hold labels 0..j, and the minimum string extends a prefix that is
+    minimal at every depth.  Every partial labeling whose columns so far are
+    minimal is kept and extended by every unlabeled vertex.  Capped at
+    n = ISO_CAP: the number of tied labelings grows fast on symmetric
+    graphs such as long cycles.
     """
-    if g.n > _ISO_CAP:
-        raise UnsupportedSizeError(f"canonical_form capped at n = {_ISO_CAP}, got {g.n}")
-    if g.n <= 1:
-        return encode_graph6(g)
-    v = _bit_vector(g)
-    npairs = len(v)
-    weights = (np.uint64(1) << np.arange(npairs - 1, -1, -1, dtype=np.uint64)).astype(np.uint64)
-    if g.n <= 9:
-        perms, gather = _perm_tables(g.n)
-        packed = v[gather] @ weights
-        best = int(np.argmin(packed))
-        perm = perms[best]
-    else:
-        pairs = _pair_order(g.n)
-        pidx = np.zeros((g.n, g.n), dtype=np.int16)
-        for t, (i, j) in enumerate(pairs):
-            pidx[i, j] = pidx[j, i] = t
-        icols = [i for i, _ in pairs]
-        jcols = [j for _, j in pairs]
-        best_val = None
-        perm = None
-        it = itertools.permutations(range(g.n))
-        while True:
-            chunk = list(itertools.islice(it, _PERM_CHUNK))
-            if not chunk:
-                break
-            parr = np.array(chunk, dtype=np.int8)
-            gather = pidx[parr[:, icols].astype(np.intp), parr[:, jcols].astype(np.intp)]
-            packed = v[gather] @ weights
-            k = int(np.argmin(packed))
-            if best_val is None or packed[k] < best_val:
-                best_val = packed[k]
-                perm = parr[k]
-    # perm maps new label -> original vertex, so relabel by its inverse
+    if g.n > ISO_CAP:
+        raise UnsupportedSizeError(f"canonical_form capped at n = {ISO_CAP}, got {g.n}")
+    adj = g._adj
+    # u and v are twins when their neighborhoods agree apart from each
+    # other (same open or same closed neighborhood)
+    twins = [
+        sum(1 << u for u in range(v) if adj[u] & ~(1 << v) == adj[v] & ~(1 << u))
+        for v in range(g.n)
+    ]
+    states = [((), (1 << g.n) - 1)]  # (labeled vertices in label order, unlabeled mask)
+    for _ in range(g.n):
+        best, extended = None, []
+        for prefix, free in states:
+            for v in _mask_bits(free):
+                # swapping v with an unlabeled twin is an automorphism that
+                # fixes the labeled prefix, so the earlier twin's subtree
+                # holds the same strings
+                if twins[v] & free:
+                    continue
+                column = 0
+                for u in prefix:
+                    column = column << 1 | adj[v] >> u & 1
+                if best is None or column < best:
+                    best, extended = column, []
+                if column == best:
+                    extended.append((prefix + (v,), free & ~(1 << v)))
+        states = extended
+    # the labeling maps new label -> original vertex, so relabel by its inverse
     inverse = [0] * g.n
-    for pos, orig in enumerate(perm):
-        inverse[orig] = pos
+    for label, orig in enumerate(states[0][0]):
+        inverse[orig] = label
     return encode_graph6(g.relabel(inverse))
 
 

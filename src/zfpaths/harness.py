@@ -24,6 +24,7 @@ from .drawing import (
 from .errors import UnsupportedInputError, ZfError
 from .forcing import forcing_number, is_forcing_set, total_forcing_number
 from .graphs import (
+    ISO_CAP,
     Graph,
     canonical_form,
     disjoint_union,
@@ -53,7 +54,7 @@ class SuiteReport:
 
 
 def _graph_key(g: Graph):
-    return canonical_form(g) if g.n <= 10 else encode_graph6(g)
+    return canonical_form(g) if g.n <= ISO_CAP else encode_graph6(g)
 
 
 def _builtin_corpus(n_max):
@@ -61,8 +62,9 @@ def _builtin_corpus(n_max):
     for n in range(1, n_max + 1):
         graphs.extend(enumerate_connected_subcubic(n))
     # disconnected path unions cover the total-forcing sharpness cases and
-    # the union-of-paths side of the classification
-    for j in range(1, 5):
+    # the union-of-paths side of the classification (one copy of P2 is
+    # already in the n = 2 enumeration)
+    for j in range(2, 5):
         graphs.append(disjoint_union([path_graph(2)] * j))
     return graphs
 

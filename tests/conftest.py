@@ -1,12 +1,13 @@
 """Shared test oracles, deliberately independent of the library internals,
 and the finite-difference check of the nullity objective."""
 
+import itertools
 import random
 
 import numpy as np
 import pytest
 
-from zfpaths.graphs import Graph
+from zfpaths.graphs import Graph, encode_graph6
 from zfpaths.nullity import _objective, assemble, edge_ends
 
 
@@ -23,6 +24,11 @@ def sequential_closure(g: Graph, colored):
                 break
         if not fired:
             return frozenset(colored)
+
+
+def brute_canonical_form(g: Graph):
+    """Minimum graph6 encoding over all n! relabelings; the canonical-form oracle."""
+    return min(encode_graph6(g.relabel(p)) for p in itertools.permutations(range(g.n)))
 
 
 def random_graph(rng: random.Random, n, p=0.4, max_degree=None):

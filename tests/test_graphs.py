@@ -2,6 +2,7 @@ import itertools
 
 import pytest
 
+from conftest import brute_canonical_form, random_graph
 from zfpaths.errors import (
     GraphFormatError,
     InvalidSequenceError,
@@ -13,6 +14,7 @@ from zfpaths.graphs import (
     canonical_form,
     complete_graph,
     cycle_graph,
+    disjoint_union,
     encode_graph6,
     enumerate_connected_subcubic,
     is_induced_path,
@@ -99,8 +101,6 @@ def test_induced_path_rejects_repeats():
 
 
 def test_induced_path_matches_naive_scan(rng):
-    from conftest import random_graph
-
     for _ in range(1000):
         g = random_graph(rng, rng.randint(1, 7))
         size = rng.randint(0, g.n)
@@ -130,6 +130,52 @@ def test_canonical_form_c5_all_relabelings():
         for perm in itertools.permutations(range(5))
     }
     assert len(forms) == 1
+
+
+def test_canonical_form_matches_brute_force(rng):
+    graphs = []
+    for n in range(5):  # every labeled graph on up to 4 vertices
+        pairs = list(itertools.combinations(range(n), 2))
+        for bits in itertools.product((0, 1), repeat=len(pairs)):
+            graphs.append(Graph(n, [p for p, b in zip(pairs, bits) if b]))
+    for n in range(1, 7):
+        graphs.extend(enumerate_connected_subcubic(n))
+    for _ in range(60):
+        # a random core, then an isolated vertex and an open or closed twin
+        n = rng.randint(3, 5)
+        core = random_graph(rng, n, p=rng.random())
+        v = rng.randrange(n)
+        edges = list(core.edges) + [(u, n + 1) for u in core.neighbors(v)]
+        if rng.random() < 0.5:
+            edges.append((v, n + 1))
+        perm = list(range(n + 2))
+        rng.shuffle(perm)
+        graphs.append(Graph(n + 2, edges).relabel(perm))
+    for g in graphs:
+        assert canonical_form(g) == brute_canonical_form(g), g
+
+
+# keys computed by the n! sweep that canonical_form replaced
+_PETERSEN = Graph(
+    10,
+    [(i, (i + 1) % 5) for i in range(5)]
+    + [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
+    + [(i, 5 + i) for i in range(5)],
+)
+_N10_KEYS = [
+    (_PETERSEN, "I?LRCecq?"),
+    (disjoint_union([path_graph(2)] * 5), "I??G`@?_?"),
+    (Graph(10), "I????????"),
+]
+
+
+def test_canonical_form_pins_ten_vertex_keys(rng):
+    for g, key in _N10_KEYS:
+        assert canonical_form(g) == key
+        for _ in range(5):
+            perm = list(range(10))
+            rng.shuffle(perm)
+            assert canonical_form(g.relabel(perm)) == key
 
 
 def test_canonical_form_size_cap():

@@ -17,8 +17,9 @@ def strip_timings(records):
 def test_builtin_suite_small_clean():
     report = run_suite(4, nullity_budget=(15, 800), seed=2)
     assert report.ok, report.violations
-    # 10 connected graphs up to n=4 plus four disjoint path unions
-    assert report.cursor == 1 + 1 + 2 + 6 + 4
+    # 10 connected graphs up to n=4 plus the unions of 2..4 disjoint edges
+    assert report.cursor == 1 + 1 + 2 + 6 + 3
+    assert report.cursor == len(report.records)
     assert report.totals.get("ThreeParallel_FM3", 0) >= 1
 
 
