@@ -252,12 +252,12 @@ def _merge_slots(index: OrderIndex, s):
     merged_at = {}
     for u in index.seqs[1 - s]:
         nbrs = [v for v in index.host.neighbors(u) if index.owner.get(v) == s]
+        # split neighbors were already refused by _pair_property_check
+        if len(nbrs) == 3:
+            raise NotLadderDrawableError(
+                f"vertex {u} has three neighbors across the ladder", violation=(u,)
+            )
         if len(nbrs) == 2:
-            if index.split(u, s):
-                raise NotLadderDrawableError(
-                    f"vertex {u} has non-consecutive neighbors across the ladder",
-                    violation=(u,),
-                )
             i, j = sorted(index.pos[v] for v in nbrs)
             if i in merged_at:
                 raise NotLadderDrawableError(
@@ -366,8 +366,9 @@ def _ladder_coordinates(top_slots, bottom_slots, segments):
 class _SweepState:
     """Mutable rows-1-and-2 state while the top row is placed left to right."""
 
-    def __init__(self, ladder: LadderDrawing):
+    def __init__(self, ladder: LadderDrawing, seq):
         self.host = ladder.host
+        self.rows = (tuple(seq), ladder.top, ladder.bottom)
         self.top_slots = list(ladder.top_slots)
         self.bottom_slots = list(ladder.bottom_slots)
         self.x_top = list(ladder.x_top)
@@ -553,7 +554,7 @@ def _sweep_top_row(ladder: LadderDrawing, seq):
     feasibility interval.  A vertex with an empty interval, a fixed
     inverted constraint or no candidate that keeps the drawing valid
     raises DrawingConstructionError."""
-    state = _SweepState(ladder)
+    state = _SweepState(ladder, seq)
     for v in seq:
         prev_x = state.placed[-1][1] if state.placed else None
         lo, hi, blocked = _feasible_interval(state, v, prev_x)
@@ -575,7 +576,7 @@ def _sweep_top_row(ladder: LadderDrawing, seq):
     return state
 
 
-def _split_and_finish(state: _SweepState, rows):
+def _split_and_finish(state: _SweepState):
     """Split thick slots symmetrically and emit the standard drawing."""
     xs = set(state.x_top) | set(state.x_bottom) | {x for _, x in state.placed}
     for v, zx in state.placed:
@@ -596,7 +597,7 @@ def _split_and_finish(state: _SweepState, rows):
                 coords[slot[1]] = x + eps
     for v, x in state.placed:
         coords[v] = x
-    drawing = StandardDrawing(rows=tuple(tuple(r) for r in rows), x=coords, host=state.host)
+    drawing = StandardDrawing(rows=state.rows, x=coords, host=state.host)
     report = verify_drawing(state.host, drawing)
     if not report.ok:
         raise InternalLogicError(
@@ -639,16 +640,7 @@ def place_third(g: Graph, ladder: LadderDrawing, r3) -> StandardDrawing:
         violations = check_parallel_properties(g, ladder.top, ladder.bottom, seq)
         if violations:
             raise ContractError(f"parallel-path properties violated: {violations[:3]}")
-    state = _sweep_top_row(ladder, seq)
-    return _split_and_finish(state, [seq, ladder.top, ladder.bottom])
-
-
-def _place_trivial_third(g: Graph, ladder: LadderDrawing, z) -> StandardDrawing:
-    """Lone vertex above the ladder, its bottom-row edge drawn vertically when
-    possible; unlike the public entry point this allows all three of z's
-    edges into the ladder."""
-    state = _sweep_top_row(ladder, (z,))
-    return _split_and_finish(state, [(z,), ladder.top, ladder.bottom])
+    return _split_and_finish(_sweep_top_row(ladder, seq))
 
 
 # -- full pipeline ------------------------------------------------------------
@@ -657,8 +649,11 @@ def _place_trivial_third(g: Graph, ladder: LadderDrawing, z) -> StandardDrawing:
 def build_standard_drawing(g: Graph) -> StandardDrawing:
     """Three-row drawing of a graph with maximum degree <= 3 and forcing number 3.
 
-    Pipeline: minimum forcing set, chain extraction, both repairs, then a
-    case split on the number of non-trivial chains.
+    Pipeline: minimum forcing set, chain extraction, both repairs, then one
+    construction for every chain shape: two chains as a ladder, the third
+    swept in above it.  The ladder pair is tried both ways up, then each
+    other chain as the swept row, up to six row orders in all; the last
+    construction error is raised if none of them draws.
     """
     if g.max_degree() > 3:
         raise UnsupportedInputError("standard drawings need maximum degree <= 3")
@@ -668,89 +663,35 @@ def build_standard_drawing(g: Graph) -> StandardDrawing:
     cs = chains_for(g, witness)
     cs = eliminate_bad(cs)
     cs = eliminate_unfavorite(cs)
-    nontrivial = cs.nontrivial()
-    trivial = [c for c in cs.chains if c.trivial]
-    if len(nontrivial) == 0:
-        rows = tuple(c.seq for c in cs.chains)
-        d = StandardDrawing(rows=rows, x={c.seq[0]: Fraction(0) for c in cs.chains}, host=g)
-        report = verify_drawing(g, d)
-        if not report.ok:
-            raise InternalLogicError(f"trivial drawing failed: {report.violations}")
-        return d
-    if len(nontrivial) == 1:
-        return _draw_one_nontrivial(g, nontrivial[0], trivial[0], trivial[1])
-    if len(nontrivial) == 2:
-        return _draw_two_nontrivial(g, nontrivial, trivial[0])
     p1, p2 = _ladder_pair(g, cs.chains)
     p3 = next(c for c in cs.chains if c is not p1 and c is not p2)
-    violations = check_parallel_properties(g, p1.seq, p2.seq, p3.seq)
-    if violations:
-        raise InternalLogicError(
-            f"repaired chains violate parallel-path properties: {violations[:3]}"
-        )
-    # the sweep can stick with the ladder one way up and not the other
-    for top, bottom in ((p1, p2), (p2, p1)):
+    if not cs.trivial_count():
+        violations = check_parallel_properties(g, p1.seq, p2.seq, p3.seq)
+        if violations:
+            raise InternalLogicError(
+                f"repaired chains violate parallel-path properties: {violations[:3]}"
+            )
+    for top, bottom, swept in sorted(
+        itertools.permutations((p1, p2, p3)), key=lambda t: t[2] is not p3
+    ):
         try:
-            return place_third(g, ladder_drawing(g, top, bottom), p3)
-        except DrawingConstructionError as exc:
+            ladder = ladder_drawing(g, top, bottom)
+            return _split_and_finish(_sweep_top_row(ladder, swept.seq))
+        except (DrawingConstructionError, NotLadderDrawableError) as exc:
             last_error = exc
     raise last_error
 
 
 def _ladder_pair(g: Graph, chains):
-    """The chain pair with the most cross edges; ties favor smaller head ids."""
+    """The chain pair with the fewest trivial chains, then the most cross
+    edges; ties favor smaller head ids."""
     best = None
     for c1, c2 in itertools.combinations(chains, 2):
         count = sum(1 for u in c1.seq for v in g.neighbors(u) if v in c2)
-        key = (-count, c1.head, c2.head)
+        key = (c1.trivial + c2.trivial, -count, c1.head, c2.head)
         if best is None or key < best[0]:
             best = (key, (c1, c2))
     return best[1]
-
-
-def _draw_one_nontrivial(g, middle: Chain, top: Chain, bottom: Chain) -> StandardDrawing:
-    mid = middle.seq
-    xs = {v: Fraction(i) for i, v in enumerate(mid)}
-    u = top.seq[0]
-    w = bottom.seq[0]
-    rows = (top.seq, mid, bottom.seq)
-    adjacent_pair = g.adjacent(u, w)
-
-    def span_mid(v):
-        nbr = [xs[t] for t in g.neighbors(v) if t in xs]
-        return (min(nbr) + max(nbr)) / 2 if nbr else Fraction(-1)
-
-    candidates = []
-    if adjacent_pair:
-        candidates.append((Fraction(-2), Fraction(-2)))
-        candidates.append((Fraction(-2), Fraction(-3)))
-    base_u, base_w = span_mid(u), span_mid(w)
-    for du in (0, Fraction(1, 4), Fraction(-1, 4), Fraction(1, 2)):
-        for dw in (0, Fraction(1, 4), Fraction(-1, 4), Fraction(1, 2)):
-            candidates.append((base_u + du, base_w + dw))
-    for xu, xw in candidates:
-        d = StandardDrawing(rows=rows, x={**xs, u: xu, w: xw}, host=g)
-        if verify_drawing(g, d).ok:
-            return _integer_grid(d)
-    raise InternalLogicError("one-nontrivial-chain drawing failed for all candidates")
-
-
-def _draw_two_nontrivial(g, nontrivial, lone: Chain) -> StandardDrawing:
-    z = lone.seq[0]
-
-    def nbr_count(c):
-        return sum(1 for w in g.neighbors(z) if w in c)
-
-    ordered = sorted(nontrivial, key=lambda c: (-nbr_count(c), c.head))
-    attempts = [(ordered[0], ordered[1]), (ordered[1], ordered[0])]
-    last_error = None
-    for top, bottom in attempts:
-        try:
-            ladder = ladder_drawing(g, top, bottom)
-            return _place_trivial_third(g, ladder, z)
-        except (DrawingConstructionError, NotLadderDrawableError, InternalLogicError) as exc:
-            last_error = exc
-    raise InternalLogicError(f"two-nontrivial-chain drawing failed: {last_error}")
 
 
 def build_parallel_drawing(g: Graph) -> StandardDrawing:

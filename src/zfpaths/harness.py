@@ -3,7 +3,8 @@
 Each graph yields one record; theorem violations fail the suite because the
 theorems are ground truth, so a violation can only mean an implementation
 bug.  The nullity reach-check is failing; the never-exceed check is
-advisory and only warns.
+advisory and only warns.  A package error raised while checking one graph
+is recorded as a violation of that graph, and the run goes on.
 """
 
 from __future__ import annotations
@@ -168,6 +169,15 @@ def _check_one(g: Graph, key, checks, seed, nullity_budget, advisory):
     if g.max_degree() > 3 or g.n > _HARNESS_N_CAP:
         rec["skipped"] = True
         return rec
+    # one bad graph must not end the run: record the error and carry on
+    try:
+        _run_checks(g, key, rec, checks, seed, nullity_budget, advisory)
+    except ZfError as exc:
+        rec["violations"].append(f"check aborted: {type(exc).__name__}: {exc}")
+    return rec
+
+
+def _run_checks(g: Graph, key, rec, checks, seed, nullity_budget, advisory):
     graph_seed = seed + zlib.crc32(key.encode("ascii")) % 65536
 
     t0 = time.perf_counter()
@@ -256,8 +266,6 @@ def _check_one(g: Graph, key, checks, seed, nullity_budget, advisory):
                     f"T_fmk advisory: certified {cls.m + 1} above classified {cls.m}"
                 )
         rec["timings"]["nullity_ms"] = round((time.perf_counter() - t0) * 1000, 3)
-
-    return rec
 
 
 def diff_reports(a: SuiteReport, b: SuiteReport) -> str:

@@ -6,6 +6,8 @@ import pytest
 
 from zfpaths.drawing import (
     StandardDrawing,
+    _split_and_finish,
+    _sweep_top_row,
     build_parallel_drawing,
     build_standard_drawing,
     check_parallel_properties,
@@ -141,6 +143,14 @@ def test_ladder_rejects_nonconsecutive_neighbors():
         ladder_drawing(g, (0, 1), (2, 3, 4))
 
 
+def test_ladder_rejects_three_neighbors_across():
+    # 3 meets all of the path 0-1-2; a ladder has one slot for it, not three
+    g = Graph(4, [(0, 1), (1, 2), (0, 3), (1, 3), (2, 3)])
+    with pytest.raises(NotLadderDrawableError) as exc:
+        ladder_drawing(g, (0, 1, 2), (3,))
+    assert exc.value.violation == (3,)
+
+
 # -- placing the third row ------------------------------------------------------
 
 
@@ -180,13 +190,14 @@ def test_parallel_property_scan_flags_violation():
     assert check_parallel_properties(g, (0, 1), (2, 3), (4, 5, 6)) == [(5, (0, 2))]
 
 
-# F = 3 graphs on which the sweep finds no position for the third row with
-# the ladder one way up, but does with it the other way up
-LADDER_ORDER_GRAPHS = ("KaGS?O@s?H@o", "KIG?K?W[?H@H")
+# F = 3 graphs on which the sweep finds no position for the third row in
+# some row orders: the first two draw with the ladder pair the other way up,
+# the last two on some relabelings only with another chain as the swept row
+LADDER_ORDER_GRAPHS = ("KaGS?O@s?H@o", "KIG?K?W[?H@H", "JP@A_OK?hQ?", "M?GH?gOgA@_O@WA`?")
 
 
 @pytest.mark.parametrize("code", LADDER_ORDER_GRAPHS)
-def test_drawing_tries_both_ladder_orders(code):
+def test_drawing_tries_every_row_order(code):
     base = parse_graph6(code)
     rng = random.Random(20261018)
     graphs = [base]
@@ -225,10 +236,9 @@ def test_thick_ladder_chain_set_matches_figure():
 
 
 def test_thick_ladder_thick_split_drawing_verifies():
-    from zfpaths.drawing import _place_trivial_third
-
+    # the pipeline's steps; place_third would refuse 13's three ladder edges
     lad = ladder_drawing(THICK_LADDER, tuple(range(7)), tuple(range(7, 13)))
-    d = _place_trivial_third(THICK_LADDER, lad, 13)
+    d = _split_and_finish(_sweep_top_row(lad, (13,)))
     assert d.rows == ((13,), tuple(range(7)), tuple(range(7, 13)))
     assert verify_drawing(THICK_LADDER, d).ok
     # the thick pairs end up split into distinct coordinates

@@ -2,8 +2,10 @@ import json
 
 import pytest
 
+from zfpaths import harness
 from zfpaths.cli import main
-from zfpaths.errors import UnsupportedInputError
+from zfpaths.errors import NumericalFailureError, UnsupportedInputError
+from zfpaths.graphs import canonical_form
 from zfpaths.harness import ALL_CHECKS, diff_reports, run_suite
 
 
@@ -21,6 +23,28 @@ def test_builtin_suite_small_clean():
     assert report.cursor == 1 + 1 + 2 + 6 + 3
     assert report.cursor == len(report.records)
     assert report.totals.get("ThreeParallel_FM3", 0) >= 1
+
+
+def test_suite_survives_one_failing_graph(monkeypatch):
+    real = harness.maximize_nullity
+
+    def fail_on_k4(g, *args, **kwargs):
+        if canonical_form(g) == "C~":
+            raise NumericalFailureError("Jacobi sweep did not converge")
+        return real(g, *args, **kwargs)
+
+    monkeypatch.setattr(harness, "maximize_nullity", fail_on_k4)
+    report = run_suite(4, nullity_budget=(15, 800), seed=2)
+    assert report.cursor == len(report.records) == 1 + 1 + 2 + 6 + 3
+    assert report.violations == [
+        ("C~", "check aborted: NumericalFailureError: Jacobi sweep did not converge")
+    ]
+    # the checks that ran before the failure keep their results
+    assert report.records["C~"]["f"] == 3 and report.records["C~"]["drawing_ok"]
+    # and the graphs checked after it are checked in full
+    for key, rec in report.records.items():
+        if key != "C~" and rec["tag"] != "Beyond":
+            assert rec["m_certified"] == rec["f"], key
 
 
 def test_suite_classifies_k4_and_k33(tmp_path):
