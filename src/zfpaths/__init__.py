@@ -29,6 +29,7 @@ from .drawing import (
     ladder_drawing,
     leftmost_set,
     place_third,
+    realize,
     render,
     search_drawing,
     verify_drawing,

@@ -188,10 +188,10 @@ def _cmd_nullity(args):
 
 def _cmd_search_draw(args):
     g = resolve_graph(args.input)
-    d = search_drawing(g, args.k, budget=args.budget)
+    d = search_drawing(g, args.k)
     if d is None:
         print(json.dumps({"found": False, "k": args.k}))
-        print("no drawing found within budget (advisory only)", file=sys.stderr)
+        print(f"no drawing with at most {args.k} rows exists", file=sys.stderr)
     else:
         obj = drawing_to_json_obj(d)
         obj["found"] = True
@@ -275,10 +275,9 @@ def build_parser():
     p.add_argument("--target", type=int, required=True)
     p.add_argument("--budget", type=_parse_budget, default=(50, 2000))
     p.add_argument("--seed", type=int, default=0)
-    p = add("search-draw", _cmd_search_draw, help="budgeted search for a k-row drawing")
+    p = add("search-draw", _cmd_search_draw, help="exact search for a drawing with at most k rows")
     p.add_argument("input")
     p.add_argument("--k", type=int, required=True)
-    p.add_argument("--budget", type=int, default=20000)
     p = add("verify", _cmd_verify, help="batch theorem verification")
     p.add_argument("--nmax", type=int, default=None)
     p.add_argument("--corpus", default=None)

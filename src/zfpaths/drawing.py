@@ -6,6 +6,10 @@ run along the row; edges between rows are straight segments.  A drawing is
 valid when no two segments intersect outside a shared endpoint and no
 segment passes through a third vertex.  All intersection tests use
 Fraction arithmetic; there is no tolerance anywhere.
+
+Coordinates come from one engine, `realize`, which either draws given rows
+or proves that no coordinates can: the three-row pipeline, `place_third`,
+drawings with one or two rows and the k-row search all call it.
 """
 
 from __future__ import annotations
@@ -13,7 +17,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import gcd, lcm
+from math import ceil, floor, gcd, lcm
 
 from .chains import Chain, OrderIndex, chains_for, eliminate_bad, eliminate_unfavorite
 from .errors import (
@@ -43,9 +47,6 @@ class StandardDrawing:
             if v in row:
                 return i
         raise KeyError(v)
-
-    def point(self, v):
-        return (self.x[v], Fraction(self.row_of(v)))
 
     def __eq__(self, other):
         return (
@@ -227,8 +228,6 @@ class LadderDrawing:
     thick_vertices: tuple  # merged consecutive pairs
     thick_edges: tuple  # (vertex, merged pair)
     segments: tuple  # (top slot index, bottom slot index), left to right
-    x_top: tuple  # Fraction per top slot
-    x_bottom: tuple
 
 
 def _pair_property_check(index: OrderIndex):
@@ -287,7 +286,9 @@ def _merge_slots(index: OrderIndex, s):
 
 
 def ladder_drawing(g: Graph, r1, r2) -> LadderDrawing:
-    """Two-row drawing of a chain pair with vertical segments and thick merges."""
+    """The ladder of a chain pair: slots, thick merges of shared neighbor pairs
+    and vertical segments, as in the paper's Figure 6.  It carries no
+    coordinates; `place_third` draws it with a third row through `realize`."""
     t = tuple(r1.seq if isinstance(r1, Chain) else r1)
     b = tuple(r2.seq if isinstance(r2, Chain) else r2)
     if set(t) & set(b):
@@ -311,7 +312,6 @@ def ladder_drawing(g: Graph, r1, r2) -> LadderDrawing:
             raise InternalLogicError("slot carries two distinct ladder segments")
         if (t1 < t2) != (b1 < b2):
             raise InternalLogicError("ladder segments invert despite property check")
-    x_top, x_bottom = _ladder_coordinates(top_slots, bottom_slots, segments)
     return LadderDrawing(
         host=g,
         top=t,
@@ -321,289 +321,175 @@ def ladder_drawing(g: Graph, r1, r2) -> LadderDrawing:
         thick_vertices=tuple(thick_t + thick_b),
         thick_edges=tuple(edges_t + edges_b),
         segments=tuple(segments),
-        x_top=tuple(x_top),
-        x_bottom=tuple(x_bottom),
     )
 
 
-def _ladder_coordinates(top_slots, bottom_slots, segments):
-    """Integer x per slot: matched segment endpoints share x, rows increase."""
-    x_top = [None] * len(top_slots)
-    x_bottom = [None] * len(bottom_slots)
-    if not segments:
-        for i in range(len(top_slots)):
-            x_top[i] = Fraction(i)
-        for i in range(len(bottom_slots)):
-            x_bottom[i] = Fraction(i)
-        return x_top, x_bottom
-    cursor = None
-    prev_t = prev_b = -1
-    for ti, bi in segments:
-        gap_t = ti - prev_t - 1
-        gap_b = bi - prev_b - 1
-        if cursor is None:
-            x_seg = Fraction(max(gap_t, gap_b))
-        else:
-            x_seg = cursor + max(gap_t, gap_b) + 1
-        for step, idx in enumerate(range(prev_t + 1, ti)):
-            x_top[idx] = x_seg - (gap_t - step)
-        for step, idx in enumerate(range(prev_b + 1, bi)):
-            x_bottom[idx] = x_seg - (gap_b - step)
-        x_top[ti] = x_seg
-        x_bottom[bi] = x_seg
-        cursor = x_seg
-        prev_t, prev_b = ti, bi
-    for step, idx in enumerate(range(prev_t + 1, len(top_slots))):
-        x_top[idx] = cursor + step + 1
-    for step, idx in enumerate(range(prev_b + 1, len(bottom_slots))):
-        x_bottom[idx] = cursor + step + 1
-    return x_top, x_bottom
+# -- the exact realizer --------------------------------------------------------
 
 
-# -- placing the third row ---------------------------------------------------
+def realize(g: Graph, rows):
+    """A verified drawing with these rows, or None when no x coordinates pass
+    `verify_drawing`.
 
-
-class _SweepState:
-    """Mutable rows-1-and-2 state while the top row is placed left to right."""
-
-    def __init__(self, ladder: LadderDrawing, seq):
-        self.host = ladder.host
-        self.rows = (tuple(seq), ladder.top, ladder.bottom)
-        self.top_slots = list(ladder.top_slots)
-        self.bottom_slots = list(ladder.bottom_slots)
-        self.x_top = list(ladder.x_top)
-        self.x_bottom = list(ladder.x_bottom)
-        self.verticals = list(ladder.segments)
-        self.slot_of = {}
-        for i, s in enumerate(self.top_slots):
-            for v in s:
-                self.slot_of[v] = (1, i)
-        for i, s in enumerate(self.bottom_slots):
-            for v in s:
-                self.slot_of[v] = (2, i)
-        self.placed = []  # (vertex, Fraction x) on row 0, in order
-
-    # slot pseudo ids keep shared-endpoint semantics during construction
-    def _points(self):
-        pts = {}
-        for i, x in enumerate(self.x_top):
-            pts[("t", i)] = (x, Fraction(1))
-        for i, x in enumerate(self.x_bottom):
-            pts[("b", i)] = (x, Fraction(2))
-        for v, x in self.placed:
-            pts[("z", v)] = (x, Fraction(0))
-        return pts
-
-    def _segments(self):
-        segs = [(("t", ti), ("b", bi)) for ti, bi in self.verticals]
-        for v, _ in self.placed:
-            segs.extend(self._down_segments(v))
-        return segs
-
-    def _down_segments(self, v):
-        # a vertex adjacent to both members of a thick pair yields one segment
-        segs = []
-        for w in self.host.neighbors(v):
-            loc = self.slot_of.get(w)
-            if loc is None:
-                continue
-            row, idx = loc
-            seg = (("z", v), ("t", idx) if row == 1 else ("b", idx))
-            if seg not in segs:
-                segs.append(seg)
-        return segs
-
-    def down_targets(self, v):
-        """(mid slot indices, long targets) of v; long = (slot idx, side)."""
-        mids = []
-        longs = []
-        for w in self.host.neighbors(v):
-            loc = self.slot_of.get(w)
-            if loc is None:
-                continue
-            row, idx = loc
-            if row == 1:
-                if idx not in mids:
-                    mids.append(idx)
-            else:
-                slot = self.bottom_slots[idx]
-                side = slot.index(w) if len(slot) == 2 else None
-                if (idx, side) not in longs:
-                    longs.append((idx, side))
-        return mids, longs
-
-    def strip01_bottoms(self):
-        """Row-1 anchor values of all placed top-row segments.
-
-        Yields (value, kind, key): slot anchors for edges into the middle
-        row, midpoint anchors for edges through to the bottom row.
-        """
-        for v, x in self.placed:
-            mids, longs = self.down_targets(v)
-            for idx in mids:
-                yield self.x_top[idx], "slot", idx
-            for idx, _ in longs:
-                yield (x + self.x_bottom[idx]) / 2, "mid", (v, idx)
-
-    def placed_longs(self):
-        for v, x in self.placed:
-            _, longs = self.down_targets(v)
-            for idx, _ in longs:
-                yield v, idx, (x + self.x_bottom[idx]) / 2
-
-    def vertical_xs(self):
-        return sorted(self.x_top[ti] for ti, _ in self.verticals)
-
-    def try_place(self, v, x):
-        self.placed.append((v, x))
-        ok = not _geometry_violations(self._segments(), self._points())
-        if not ok:
-            self.placed.pop()
-        return ok
-
-
-def _flank_interval(state: _SweepState, w_idx, member_side):
-    """Open interval between the verticals flanking a bottom slot."""
-    bx = state.x_bottom[w_idx]
-    lo, hi = None, None
-    for x in state.vertical_xs():
-        if x < bx and (lo is None or x > lo):
-            lo = x
-        if x > bx and (hi is None or x < hi):
-            hi = x
-    if member_side == 0:
-        hi = bx if hi is None else min(hi, bx)
-    elif member_side == 1:
-        lo = bx if lo is None else max(lo, bx)
-    return lo, hi, bx
-
-
-def _feasible_interval(state: _SweepState, v, prev_x):
-    """Exact open interval of workable x positions for v.
-
-    All crossing constraints are linear in x(v): the midpoint of an edge down
-    to the bottom row must stay strictly between the flanking verticals,
-    strictly above every earlier row-1 anchor, and ordered against earlier
-    midpoints the same way the bottom endpoints are ordered.  Returns
-    (lo, hi, blocked) where blocked lists the middle-row slots whose edges
-    from v would invert an earlier anchor whatever x(v) is.
+    Each row is an induced path, read left to right.  A segment that spans
+    several rows meets each row between its ends inside one gap of that row:
+    before the first vertex, between two vertices, or after the last.  The
+    gaps are chosen depth first.  Two straight segments keep one left-right
+    order on every row they share, apart from a common end, so a choice is
+    pruned as soon as the orders it fixes disagree; at the first and the last
+    shared row one segment is at its own end vertex, so the order there is
+    always known.  A choice that survives leaves strict homogeneous linear
+    inequalities in x, the row orders and each crossing point strictly inside
+    its gap, which `_solve` decides exactly.
     """
-    mids, longs = state.down_targets(v)
-    lows = []
-    highs = []
-    blocked = []
-    if prev_x is not None:
-        lows.append(prev_x)
-    anchors = list(state.strip01_bottoms())
-    for idx in mids:
-        ux = state.x_top[idx]
-        for value, kind, key in anchors:
-            if kind == "slot" and key == idx:
-                continue  # fan into the same slot
-            if value >= ux:
-                blocked.append(ux)  # fixed inversion: only moving the slot helps
-    for idx, side in longs:
-        lo_f, hi_f, bx = _flank_interval(state, idx, side)
-        if lo_f is not None:
-            lows.append(2 * lo_f - bx)
-        if hi_f is not None:
-            highs.append(2 * hi_f - bx)
-        for value, _, _ in anchors:
-            lows.append(2 * value - bx)
-        for _, w_idx, m in state.placed_longs():
-            if w_idx == idx:
-                continue  # shared bottom endpoint
-            if state.x_bottom[w_idx] < bx:
-                lows.append(2 * m - bx)
-            else:
-                highs.append(2 * m - bx)
-    lo = max(lows) if lows else None
-    hi = min(highs) if highs else None
-    return lo, hi, blocked
-
-
-def _candidate_positions(lo, hi, extra_first=()):
-    """Deterministic trial x values inside an open interval, leftmost first.
-
-    Later top-row vertices only ever need room to the right, so the sweep
-    prefers the smallest workable position.
-    """
-    cands = [c for c in extra_first if (lo is None or c > lo) and (hi is None or c < hi)]
-    if hi is None:
-        base = lo if lo is not None else Fraction(-2)
-        steps = (Fraction(1, 4), Fraction(1, 2), 1, Fraction(3, 2), 2, 3, 4)
-        cands.extend(base + d for d in steps)
+    rows = tuple(tuple(row) for row in rows)
+    if not rows or not all(rows) or sorted(v for row in rows for v in row) != list(range(g.n)):
+        return None
+    if not all(is_induced_path(g, row) for row in rows):
+        return None
+    place = {}  # vertex -> (row, 2 * position + 1); gap j of a row is 2 * j
+    for i, row in enumerate(rows):
+        for j, v in enumerate(row):
+            place[v] = (i, 2 * j + 1)
+    segments = [
+        (u, v) if place[u] < place[v] else (v, u)
+        for u, v in g.edges
+        if place[u][0] != place[v][0]
+    ]
+    tracks = []  # per segment, per row: its place there, None if unknown
+    for u, v in segments:
+        track = [None] * len(rows)
+        for w in (u, v):
+            track[place[w][0]] = place[w][1]
+        tracks.append(track)
+    if any(_disagree(s, t) for s, t in itertools.combinations(tracks, 2)):
+        return None
+    slots = [
+        (s, r)
+        for s, (u, v) in enumerate(segments)
+        for r in range(place[u][0] + 1, place[v][0])
+    ]
+    for _ in _gap_choices(rows, tracks, slots, 0):
+        x = _solve(g.n, _inequalities(rows, segments, tracks, place))
+        if x is not None:
+            break
     else:
-        base = lo if lo is not None else min(hi - 4, Fraction(-2))
-        width = hi - base
-        for num, den in ((1, 16), (1, 8), (1, 4), (3, 8), (1, 2), (5, 8), (3, 4), (7, 8), (15, 16)):
-            cands.append(base + width * Fraction(num, den))
-    seen = set()
-    out = []
-    for c in cands:
-        if c not in seen:
-            seen.add(c)
-            out.append(c)
+        return None
+    drawing = StandardDrawing(rows=rows, x=dict(enumerate(x)), host=g)
+    report = verify_drawing(g, drawing)
+    if not report.ok:
+        raise InternalLogicError(f"realized drawing failed verification: {report.violations[:3]}")
+    return _integer_grid(drawing)
+
+
+def _gap_choices(rows, tracks, slots, depth):
+    """Fill in the gap of each slot (segment, row) from `depth` on, depth
+    first, and yield whenever all are filled without a disagreement."""
+    if depth == len(slots):
+        yield
+        return
+    s, r = slots[depth]
+    for gap in range(len(rows[r]) + 1):
+        tracks[s][r] = 2 * gap
+        # only a track with a place at row r can gain a new disagreement
+        if not any(_disagree(tracks[s], t) for t in tracks if t[r] is not None):
+            yield from _gap_choices(rows, tracks, slots, depth + 1)
+    tracks[s][r] = None
+
+
+def _disagree(s, t):
+    """True when two segment tracks are known to be in both left-right orders."""
+    signs = 0
+    for p, q in zip(s, t):
+        if p is not None and q is not None and p != q:
+            signs |= 1 if p < q else 2
+    return signs == 3
+
+
+def _inequalities(rows, segments, tracks, place):
+    """Integer vectors a with a·x > 0: row orders and crossing points inside gaps."""
+    n = len(place)
+
+    def vec(*terms):
+        a = [0] * n
+        for c, v in terms:
+            a[v] += c
+        return tuple(a)
+
+    out = [vec((1, v), (-1, u)) for row in rows for u, v in zip(row, row[1:])]
+    for (u, v), track in zip(segments, tracks):
+        a, b = place[u][0], place[v][0]
+        for r in range(a + 1, b):
+            gap = track[r] // 2
+            # (b - a) times the crossing point at row r
+            cross = ((b - r, u), (r - a, v))
+            if gap > 0:
+                out.append(vec(*cross, (a - b, rows[r][gap - 1])))
+            if gap < len(rows[r]):
+                out.append(vec(*((-c, w) for c, w in cross), (b - a, rows[r][gap])))
     return out
 
 
-def _sweep_top_row(ladder: LadderDrawing, seq):
-    """Place `seq` as row 0 above the ladder, left to right.
-
-    Each vertex gets the leftmost workable position inside its exact
-    feasibility interval.  A vertex with an empty interval, a fixed
-    inverted constraint or no candidate that keeps the drawing valid
-    raises DrawingConstructionError."""
-    state = _SweepState(ladder, seq)
-    for v in seq:
-        prev_x = state.placed[-1][1] if state.placed else None
-        lo, hi, blocked = _feasible_interval(state, v, prev_x)
-        if blocked or (lo is not None and hi is not None and lo >= hi):
-            raise DrawingConstructionError(f"no feasible position for vertex {v}", vertex=v)
-        first = []
-        if len(seq) == 1:
-            mids, longs = state.down_targets(v)
-            first = [state.x_bottom[idx] for idx, _ in longs]
-            if not longs and mids:
-                # no bottom-row edge to pin vertically: center over the span
-                xs = [state.x_top[i] for i in mids]
-                first.append((min(xs) + max(xs)) / 2)
-        candidates = _candidate_positions(lo, hi, extra_first=first)
-        if not any(
-            state.try_place(v, x) for x in candidates if prev_x is None or x > prev_x
-        ):
-            raise DrawingConstructionError(f"no feasible position for vertex {v}", vertex=v)
-    return state
+def _primitive(a):
+    d = gcd(*a)
+    return tuple(c // d for c in a) if d else None
 
 
-def _split_and_finish(state: _SweepState):
-    """Split thick slots symmetrically and emit the standard drawing."""
-    xs = set(state.x_top) | set(state.x_bottom) | {x for _, x in state.placed}
-    for v, zx in state.placed:
-        for w in state.host.neighbors(v):
-            loc = state.slot_of.get(w)
-            if loc and loc[0] == 2:
-                xs.add((zx + state.x_bottom[loc[1]]) / 2)
-    ordered = sorted(xs)
-    gaps = [b - a for a, b in zip(ordered, ordered[1:]) if b > a]
-    eps = min(gaps) / 4 if gaps else Fraction(1, 4)
-    coords = {}
-    for slots, xrow in ((state.top_slots, state.x_top), (state.bottom_slots, state.x_bottom)):
-        for slot, x in zip(slots, xrow):
-            if len(slot) == 1:
-                coords[slot[0]] = x
-            else:
-                coords[slot[0]] = x - eps
-                coords[slot[1]] = x + eps
-    for v, x in state.placed:
-        coords[v] = x
-    drawing = StandardDrawing(rows=state.rows, x=coords, host=state.host)
-    report = verify_drawing(state.host, drawing)
-    if not report.ok:
-        raise InternalLogicError(
-            f"constructed drawing failed verification: {report.violations[:3]}"
-        )
-    return _integer_grid(drawing)
+def _solve(n, inequalities):
+    """Rational x with a·x > 0 for every integer vector a, or None if none exists.
+
+    Fourier–Motzkin elimination: each combined row is divided by the gcd of
+    its entries and duplicates are dropped; a row that cancels to zero reads
+    0 > 0.  Back-substitution then puts each variable inside the open
+    interval left by the rows of its stage.
+    """
+    current = {_primitive(a) for a in inequalities}
+    if None in current:
+        return None
+    stages = []
+    remaining = set(range(n))
+    while remaining:
+        i = min(remaining, key=lambda i: (_growth(current, i), i))
+        remaining.remove(i)
+        stages.append((i, current))
+        nxt = {a for a in current if not a[i]}
+        for p in (a for a in current if a[i] > 0):
+            for q in (a for a in current if a[i] < 0):
+                c = _primitive(tuple(p[i] * qk - q[i] * pk for pk, qk in zip(p, q)))
+                if c is None:
+                    return None
+                nxt.add(c)
+        current = nxt
+    x = [Fraction(0)] * n
+    for i, stage in reversed(stages):
+        lo = hi = None
+        for a in stage:
+            if a[i]:
+                bound = Fraction(-sum(c * xk for c, xk in zip(a, x)), a[i])
+                if a[i] > 0:
+                    lo = bound if lo is None else max(lo, bound)
+                else:
+                    hi = bound if hi is None else min(hi, bound)
+        x[i] = _between(lo, hi)
+    return x
+
+
+def _growth(rows, i):
+    """How many more rows eliminating variable i leaves than it takes."""
+    pos = sum(1 for a in rows if a[i] > 0)
+    neg = sum(1 for a in rows if a[i] < 0)
+    return pos * neg - pos - neg
+
+
+def _between(lo, hi):
+    """The integer nearest an open interval's finite end inside it, else its midpoint."""
+    if lo is not None:
+        x = Fraction(floor(lo) + 1)
+    elif hi is not None:
+        x = Fraction(ceil(hi) - 1)
+    else:
+        return Fraction(0)
+    return x if hi is None or x < hi else (lo + hi) / 2
 
 
 def _integer_grid(d: StandardDrawing) -> StandardDrawing:
@@ -640,7 +526,14 @@ def place_third(g: Graph, ladder: LadderDrawing, r3) -> StandardDrawing:
         violations = check_parallel_properties(g, ladder.top, ladder.bottom, seq)
         if violations:
             raise ContractError(f"parallel-path properties violated: {violations[:3]}")
-    return _split_and_finish(_sweep_top_row(ladder, seq))
+    return _draw(g, (seq, ladder.top, ladder.bottom))
+
+
+def _draw(g: Graph, rows) -> StandardDrawing:
+    d = realize(g, rows)
+    if d is None:
+        raise DrawingConstructionError(f"no drawing with rows {rows}")
+    return d
 
 
 # -- full pipeline ------------------------------------------------------------
@@ -650,10 +543,10 @@ def build_standard_drawing(g: Graph) -> StandardDrawing:
     """Three-row drawing of a graph with maximum degree <= 3 and forcing number 3.
 
     Pipeline: minimum forcing set, chain extraction, both repairs, then one
-    construction for every chain shape: two chains as a ladder, the third
-    swept in above it.  The ladder pair is tried both ways up, then each
-    other chain as the swept row, up to six row orders in all; the last
-    construction error is raised if none of them draws.
+    row order for every chain shape: the third chain on top of the ladder
+    pair (the two chains with the fewest trivial members, then the most
+    cross edges), drawn by `realize`.  DrawingConstructionError means that
+    row order has no drawing at all.
     """
     if g.max_degree() > 3:
         raise UnsupportedInputError("standard drawings need maximum degree <= 3")
@@ -671,15 +564,7 @@ def build_standard_drawing(g: Graph) -> StandardDrawing:
             raise InternalLogicError(
                 f"repaired chains violate parallel-path properties: {violations[:3]}"
             )
-    for top, bottom, swept in sorted(
-        itertools.permutations((p1, p2, p3)), key=lambda t: t[2] is not p3
-    ):
-        try:
-            ladder = ladder_drawing(g, top, bottom)
-            return _split_and_finish(_sweep_top_row(ladder, swept.seq))
-        except (DrawingConstructionError, NotLadderDrawableError) as exc:
-            last_error = exc
-    raise last_error
+    return _draw(g, (p3.seq, p1.seq, p2.seq))
 
 
 def _ladder_pair(g: Graph, chains):
@@ -699,91 +584,41 @@ def build_parallel_drawing(g: Graph) -> StandardDrawing:
     if g.max_degree() > 3:
         raise UnsupportedInputError("parallel drawings need maximum degree <= 3")
     k, witness = forcing_number(g)
-    if k == 1:
-        cs = chains_for(g, witness)
-        seq = cs.chains[0].seq
-        d = StandardDrawing(
-            rows=(seq,), x={v: Fraction(i) for i, v in enumerate(seq)}, host=g
-        )
-        report = verify_drawing(g, d)
-        if not report.ok:
-            raise InternalLogicError(f"path drawing failed: {report.violations}")
-        return d
-    if k == 2:
-        cs = chains_for(g, witness)
-        c1, c2 = cs.chains
-        xs = {}
-        for c in (c1, c2):
-            for i, v in enumerate(c.seq):
-                xs[v] = Fraction(i)
-        d = StandardDrawing(rows=(c1.seq, c2.seq), x=xs, host=g)
-        report = verify_drawing(g, d)
-        if not report.ok:
-            raise InternalLogicError(f"two-row drawing failed: {report.violations[:3]}")
-        return d
+    if k in (1, 2):
+        return _draw(g, tuple(c.seq for c in chains_for(g, witness).chains))
     if k == 3:
         return build_standard_drawing(g)
     raise UnsupportedInputError(f"forcing number {k} exceeds 3")
 
 
-# -- best-effort search for general k ----------------------------------------
+# -- exact search for general k ------------------------------------------------
 
 _SEARCH_CAP = 8
 
 
-def search_drawing(g: Graph, k, budget=20000):
-    """Bounded search for a k-row standard drawing; found results are verified
-    exactly, not-found is only advisory.
+def search_drawing(g: Graph, k):
+    """A drawing of g with at most k rows, or None when none exists.
 
-    Row structures (ordered tuples of induced-path sequences partitioning the
-    vertices) are tried in lexicographic order, first on the integer grid,
-    then on grids refined to 1/2 and 1/4.  Structures whose equal-span
-    segments invert under the fixed row orders are rejected outright, since
-    no coordinates can help them.  Every tentative vertex placement costs one
-    unit of budget.
+    Every row structure (an ordered tuple of at most k induced paths, each
+    read left to right, that partition the vertices) goes to `realize` in
+    lexicographic order, skipping mirror images of structures that failed,
+    so None is a proof; the search is capped at n = 8.
     """
     if g.n > _SEARCH_CAP:
         raise UnsupportedSizeError(f"search capped at n = {_SEARCH_CAP}")
     if g.n == 0 or k < 1:
         return None
-    remaining = [budget]
-    for denom in (1, 2, 4):
-        for rows in _row_structures(g, k):
-            if remaining[0] <= 0:
-                return None
-            if _order_forced_inversion(g, rows):
-                continue
-            d = _grid_realize(g, rows, denom, remaining)
-            if d is not None:
-                return _integer_grid(d)
-    return None
-
-
-def _order_forced_inversion(g: Graph, rows):
-    """True when two segments with the same row span must invert, whatever the
-    coordinates, because the row orders already cross them."""
-    row_index = {}
-    pos = {}
-    for i, row in enumerate(rows):
-        for j, v in enumerate(row):
-            row_index[v] = i
-            pos[v] = j
-    by_span = {}
-    for u, v in g.edges:
-        ru, rv = row_index[u], row_index[v]
-        if ru == rv:
+    tried = set()
+    for rows in _row_structures(g, k):
+        if rows in tried:
             continue
-        if ru > rv:
-            u, v = v, u
-            ru, rv = rv, ru
-        by_span.setdefault((ru, rv), []).append((u, v))
-    for segs in by_span.values():
-        for (u1, v1), (u2, v2) in itertools.combinations(segs, 2):
-            if u1 == u2 or v1 == v2:
-                continue
-            if (pos[u1] < pos[u2]) != (pos[v1] < pos[v2]):
-                return True
-    return False
+        d = realize(g, rows)
+        if d is not None:
+            return d
+        # mirrored left-right or top-bottom, a structure draws just as well
+        mirrored = tuple(row[::-1] for row in rows)
+        tried.update((mirrored, rows[::-1], mirrored[::-1]))
+    return None
 
 
 def _row_structures(g: Graph, k):
@@ -813,65 +648,6 @@ def _row_structures(g: Graph, k):
             acc.pop()
 
     yield from rec(verts, [])
-
-
-_NODE_CAP = 4000
-
-
-def _grid_realize(g: Graph, rows, denom, remaining):
-    """Depth-first x assignment on a fixed grid with incremental exact checks.
-
-    The grid spans [0, 2n] so integer solutions are not squeezed out; each
-    structure gets at most _NODE_CAP placements per resolution.
-    """
-    row_index = {}
-    order = []
-    for i, row in enumerate(rows):
-        for v in row:
-            row_index[v] = i
-            order.append(v)
-    grid = [Fraction(i, denom) for i in range(2 * g.n * denom + 1)]
-    coords = {}
-    segments = []
-    nodes = [min(_NODE_CAP, remaining[0])]
-
-    def place(idx):
-        if nodes[0] <= 0:
-            return None
-        if idx == len(order):
-            d = StandardDrawing(rows=tuple(rows), x=dict(coords), host=g)
-            return d if verify_drawing(g, d).ok else None
-        v = order[idx]
-        row = rows[row_index[v]]
-        pos_in_row = row.index(v)
-        min_x = coords[row[pos_in_row - 1]] if pos_in_row else None
-        for x in grid:
-            if min_x is not None and x <= min_x:
-                continue
-            nodes[0] -= 1
-            remaining[0] -= 1
-            if nodes[0] <= 0 or remaining[0] <= 0:
-                return None
-            coords[v] = x
-            new_segs = [
-                (v, w)
-                for w in g.neighbors(v)
-                if w in coords and row_index[w] != row_index[v]
-            ]
-            if _partial_ok(new_segs):
-                segments.extend(new_segs)
-                result = place(idx + 1)
-                if result is not None:
-                    return result
-                del segments[len(segments) - len(new_segs) :]
-            del coords[v]
-        return None
-
-    def _partial_ok(new_segs):
-        pts = {w: (coords[w], Fraction(row_index[w])) for w in coords}
-        return not _geometry_violations(segments + new_segs, pts)
-
-    return place(0)
 
 
 # -- rendering ----------------------------------------------------------------

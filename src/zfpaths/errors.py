@@ -56,11 +56,7 @@ class NotLadderDrawableError(ZfError):
 
 
 class DrawingConstructionError(ZfError):
-    """Placement failed during drawing construction; carries the stuck vertex."""
-
-    def __init__(self, message, vertex=None):
-        super().__init__(message)
-        self.vertex = vertex
+    """The rows a construction chose have no drawing: no x coordinates verify."""
 
 
 class NumericalFailureError(ZfError):

@@ -25,13 +25,6 @@ class ForcingRun:
     step_of: dict  # vertex -> step index; absent means never colored
     events: tuple  # (forcer, forced, step) triples, every candidate forcer
 
-    def step(self, v):
-        return self.step_of.get(v)
-
-    def candidates(self, v):
-        """All recorded forcers of v."""
-        return tuple(u for u, w, _ in self.events if w == v)
-
 
 @dataclass(frozen=True)
 class ForcingOutcome:

@@ -91,8 +91,8 @@ _JACOBI_SWEEPS = 100
 _JACOBI_TOL = 1e-12
 
 
-def jacobi_eigenvalues(a, with_vectors=False):
-    """Eigen decomposition by cyclic Jacobi rotations.
+def jacobi_eigenvalues(a):
+    """Ascending eigenvalues by cyclic Jacobi rotations.
 
     Sweeps rotate away every off-diagonal pair until the off-diagonal norm
     drops below 1e-12 times the Frobenius norm; more than 100 sweeps is a
@@ -102,11 +102,9 @@ def jacobi_eigenvalues(a, with_vectors=False):
     if not np.all(np.isfinite(a)):
         raise NumericalFailureError("matrix contains non-finite entries")
     n = a.shape[0]
-    v = np.eye(n)
     norm = np.linalg.norm(a)
     if norm == 0.0:
-        vals = np.zeros(n)
-        return (vals, v) if with_vectors else vals
+        return np.zeros(n)
     threshold = _JACOBI_TOL * norm
 
     def offdiag(m):
@@ -138,16 +136,9 @@ def jacobi_eigenvalues(a, with_vectors=False):
                 a[p, :] = c * row_p - s * row_q
                 a[q, :] = s * row_p + c * row_q
                 a[p, q] = a[q, p] = 0.0
-                vec_p, vec_q = v[:, p].copy(), v[:, q].copy()
-                v[:, p] = c * vec_p - s * vec_q
-                v[:, q] = s * vec_p + c * vec_q
     else:
         raise NumericalFailureError("Jacobi sweeps did not converge in 100 sweeps")
-    vals = np.diag(a).copy()
-    order = np.argsort(vals)
-    vals = vals[order]
-    v = v[:, order]
-    return (vals, v) if with_vectors else vals
+    return np.sort(np.diag(a))
 
 
 def _eigenvalues_and_scale(a: PatternMatrix):

@@ -18,12 +18,11 @@ from conftest import objective_gradient_errors, random_graph, sequential_closure
 from zfpaths.chains import chains_for, check_order_lemmas
 from zfpaths.drawing import (
     StandardDrawing,
-    _split_and_finish,
-    _sweep_top_row,
     build_parallel_drawing,
     build_standard_drawing,
     ladder_drawing,
     leftmost_set,
+    realize,
     verify_drawing,
 )
 from zfpaths.errors import UnsupportedInputError
@@ -225,6 +224,6 @@ def test_criterion_7_figure_fidelity():
         )
         lad = ladder_drawing(thick_ladder, tuple(range(7)), tuple(range(7, 13)))
         assert set(lad.thick_vertices) == {(4, 5), (9, 10)}
-        d67 = _split_and_finish(_sweep_top_row(lad, (13,)))
+        d67 = realize(thick_ladder, ((13,), lad.top, lad.bottom))
         assert verify_drawing(thick_ladder, d67).ok
         assert d67.x[4] != d67.x[5] and d67.x[9] != d67.x[10]

@@ -114,9 +114,15 @@ def test_nullity_counts_restarts_that_left_the_pattern(capsys):
 
 
 def test_search_draw(capsys):
-    code, out, _ = run_cli(capsys, "search-draw", "P5", "--k", "1", "--budget", "2000")
+    code, out, _ = run_cli(capsys, "search-draw", "P5", "--k", "1")
     payload = json.loads(out)
     assert payload["found"] is True and payload["k"] == 1
+    code, out, err = run_cli(capsys, "search-draw", "K4", "--k", "2")
+    assert code == 0 and json.loads(out) == {"found": False, "k": 2}
+    assert "no drawing with at most 2 rows exists" in err
+    # the search is exact, so it takes no budget
+    code, _, _ = run_cli(capsys, "search-draw", "P5", "--k", "1", "--budget", "2000")
+    assert code == 2
 
 
 def test_enumerate(capsys):

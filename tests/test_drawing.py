@@ -6,8 +6,7 @@ import pytest
 
 from zfpaths.drawing import (
     StandardDrawing,
-    _split_and_finish,
-    _sweep_top_row,
+    _row_structures,
     build_parallel_drawing,
     build_standard_drawing,
     check_parallel_properties,
@@ -16,13 +15,13 @@ from zfpaths.drawing import (
     ladder_drawing,
     leftmost_set,
     place_third,
+    realize,
     render,
     search_drawing,
     verify_drawing,
 )
 from zfpaths.errors import (
     ContractError,
-    DrawingConstructionError,
     NotLadderDrawableError,
     UnsupportedInputError,
     UnsupportedSizeError,
@@ -190,9 +189,8 @@ def test_parallel_property_scan_flags_violation():
     assert check_parallel_properties(g, (0, 1), (2, 3), (4, 5, 6)) == [(5, (0, 2))]
 
 
-# F = 3 graphs on which the sweep finds no position for the third row in
-# some row orders: the first two draw with the ladder pair the other way up,
-# the last two on some relabelings only with another chain as the swept row
+# F = 3 graphs with row orders, the pipeline's among them, that a greedy
+# left-to-right placement of the top row cannot draw; all of them draw
 LADDER_ORDER_GRAPHS = ("KaGS?O@s?H@o", "KIG?K?W[?H@H", "JP@A_OK?hQ?", "M?GH?gOgA@_O@WA`?")
 
 
@@ -211,12 +209,25 @@ def test_drawing_tries_every_row_order(code):
         assert verify_drawing(g, d).ok
 
 
-def test_sweep_reports_stuck_vertex():
+def test_place_third_draws_pipeline_row_order():
+    # the pipeline's row order for this graph, on which a greedy left-to-right
+    # placement of the top row finds no position for vertex 3
     g = parse_graph6("KaGS?O@s?H@o")
     lad = ladder_drawing(g, (0, 6, 11, 4, 2), (1, 9))
-    with pytest.raises(DrawingConstructionError) as exc:
-        place_third(g, lad, (3, 5, 10, 8, 7))
-    assert exc.value.vertex == 3
+    d = place_third(g, lad, (3, 5, 10, 8, 7))
+    assert d.rows == ((3, 5, 10, 8, 7), (0, 6, 11, 4, 2), (1, 9))
+    assert verify_drawing(g, d).ok
+    assert is_forcing_set(g, leftmost_set(d))
+
+
+def test_realize_returns_none_without_a_drawing():
+    # segments 0-3 and 1-2 invert between the rows, whatever the coordinates
+    g = Graph(4, [(0, 1), (2, 3), (0, 3), (1, 2)])
+    assert realize(g, ((0, 1), (2, 3))) is None
+    assert realize(g, ((0, 1), (3, 2))) is not None
+    # rows that are not induced paths, or do not partition the vertices
+    assert realize(g, ((0, 1, 2, 3),)) is None
+    assert realize(g, ((0, 1), (2,))) is None
 
 
 # -- figure 6 / figure 7 construction ---------------------------------------------
@@ -236,9 +247,9 @@ def test_thick_ladder_chain_set_matches_figure():
 
 
 def test_thick_ladder_thick_split_drawing_verifies():
-    # the pipeline's steps; place_third would refuse 13's three ladder edges
+    # place_third would refuse 13's three ladder edges
     lad = ladder_drawing(THICK_LADDER, tuple(range(7)), tuple(range(7, 13)))
-    d = _split_and_finish(_sweep_top_row(lad, (13,)))
+    d = realize(THICK_LADDER, ((13,), lad.top, lad.bottom))
     assert d.rows == ((13,), tuple(range(7)), tuple(range(7, 13)))
     assert verify_drawing(THICK_LADDER, d).ok
     # the thick pairs end up split into distinct coordinates
@@ -331,12 +342,12 @@ def test_parallel_drawing_rows_match_forcing_number():
 
 
 def test_search_single_row_path():
-    d = search_drawing(path_graph(6), 1, budget=2000)
+    d = search_drawing(path_graph(6), 1)
     assert d is not None and d.k == 1
 
 
 def test_search_k5_reproduces_four_parallel_paths():
-    d = search_drawing(K5, 4, budget=100000)
+    d = search_drawing(K5, 4)
     assert d is not None
     assert d.k == 4
     assert sorted(len(r) for r in d.rows) == [1, 1, 1, 2]
@@ -344,20 +355,49 @@ def test_search_k5_reproduces_four_parallel_paths():
     assert is_forcing_set(K5, leftmost_set(d))
 
 
-def test_search_k6_advisory_not_found():
-    # consistent with non-existence for K6, though the search cannot prove it
+def test_search_k6_has_no_drawing():
+    # induced paths of K6 have at most two vertices, and no partition of
+    # them into at most six rows draws
     for k in range(1, 7):
-        assert search_drawing(complete_graph(6), k, budget=4000) is None
+        assert search_drawing(complete_graph(6), k) is None
 
 
 def test_search_three_rows_implies_forcing_bound():
     # any found 3-row drawing bounds the forcing number by 3
     for code in ("Cs", "C~"):
         g = parse_graph6(code)
-        d = search_drawing(g, 3, budget=20000)
-        if d is not None:
-            assert forcing_number(g)[0] <= 3
-            assert is_forcing_set(g, leftmost_set(d))
+        d = search_drawing(g, 3)
+        assert d is not None
+        assert forcing_number(g)[0] <= 3
+        assert is_forcing_set(g, leftmost_set(d))
+
+
+def test_search_converse_no_three_rows_beyond_three():
+    # forcing number >= 4 means no drawing with at most three rows
+    beyond = [
+        g
+        for n in range(1, 9)
+        for g in enumerate_connected_subcubic(n)
+        if forcing_number(g)[0] >= 4
+    ]
+    assert len(beyond) == 17
+    for g in beyond:
+        assert search_drawing(g, 3) is None
+
+
+def test_every_three_row_drawing_has_forcing_leftmost_set():
+    drawn = 0
+    for n in range(1, 7):
+        for g in enumerate_connected_subcubic(n):
+            if forcing_number(g)[0] != 3:
+                continue
+            for rows in _row_structures(g, 3):
+                d = realize(g, rows)
+                if d is not None:
+                    drawn += 1
+                    assert d.k == 3
+                    assert is_forcing_set(g, leftmost_set(d))
+    assert drawn > 0
 
 
 def test_search_size_cap():
