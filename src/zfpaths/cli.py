@@ -205,19 +205,15 @@ def _cmd_verify(args):
         raise UsageError("give exactly one of --nmax or --corpus")
     source = args.nmax if args.nmax is not None else args.corpus
     checks = tuple(args.checks.split(",")) if args.checks else harness.ALL_CHECKS
-    try:
-        report = harness.run_suite(
-            source,
-            checks=checks,
-            resume=args.resume,
-            out_path=args.out,
-            seed=args.seed,
-            nullity_budget=args.budget,
-            advisory=args.advisory,
-        )
-    except OSError as exc:
-        print(f"I/O error: {exc}", file=sys.stderr)
-        return 2
+    report = harness.run_suite(
+        source,
+        checks=checks,
+        resume=args.resume,
+        out_path=args.out,
+        seed=args.seed,
+        nullity_budget=args.budget,
+        advisory=args.advisory,
+    )
     payload = {
         "corpus": report.corpus_id,
         "graphs": report.cursor,

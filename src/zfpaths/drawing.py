@@ -48,14 +48,6 @@ class StandardDrawing:
                 return i
         raise KeyError(v)
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, StandardDrawing)
-            and self.rows == other.rows
-            and self.x == other.x
-            and self.host == other.host
-        )
-
 
 @dataclass
 class DrawingReport:
@@ -375,11 +367,11 @@ def realize(g: Graph, rows):
             break
     else:
         return None
-    drawing = StandardDrawing(rows=rows, x=dict(enumerate(x)), host=g)
+    drawing = _integer_grid(StandardDrawing(rows=rows, x=dict(enumerate(x)), host=g))
     report = verify_drawing(g, drawing)
     if not report.ok:
         raise InternalLogicError(f"realized drawing failed verification: {report.violations[:3]}")
-    return _integer_grid(drawing)
+    return drawing
 
 
 def _gap_choices(rows, tracks, slots, depth):
@@ -493,24 +485,17 @@ def _between(lo, hi):
 
 
 def _integer_grid(d: StandardDrawing) -> StandardDrawing:
-    """Affine rescale of x to the smallest integer grid; geometry is preserved."""
-    xs = list(d.x.values())
-    lo = min(xs)
-    denoms = [x.denominator for x in xs]
-    scale = lcm(*denoms) if len(denoms) > 1 else denoms[0]
+    """The drawing with x shifted so its least value is 0, then scaled onto the
+    smallest integer grid.  The map is affine with one positive scale on every
+    row, so it keeps every orientation sign, and with them the verdict of
+    `verify_drawing`."""
+    lo = min(d.x.values())
+    scale = lcm(*(x.denominator for x in d.x.values()))
     ints = {v: int((x - lo) * scale) for v, x in d.x.items()}
-    g = 0
-    for val in ints.values():
-        g = gcd(g, val)
-    if g > 1:
-        ints = {v: val // g for v, val in ints.items()}
-    out = StandardDrawing(
-        rows=d.rows, x={v: Fraction(val) for v, val in ints.items()}, host=d.host
+    step = gcd(*ints.values()) or 1
+    return StandardDrawing(
+        rows=d.rows, x={v: Fraction(val // step) for v, val in ints.items()}, host=d.host
     )
-    report = verify_drawing(d.host, out)
-    if not report.ok:
-        raise InternalLogicError("integer rescale broke the drawing; affine map bug")
-    return out
 
 
 def place_third(g: Graph, ladder: LadderDrawing, r3) -> StandardDrawing:

@@ -154,12 +154,10 @@ def spectrum(a: PatternMatrix):
     return tuple(_eigenvalues_and_scale(a)[0])
 
 
-def nullity_of(a: PatternMatrix, tol_zero=TOL_ZERO):
-    """Count of eigenvalues below the relative zero threshold."""
-    if tol_zero <= 0:
-        raise ContractError("tol_zero must be positive")
+def nullity_of(a: PatternMatrix):
+    """Count of eigenvalues below the relative zero threshold TOL_ZERO * max(1, ||A||_F)."""
     vals, scale = _eigenvalues_and_scale(a)
-    return sum(1 for lam in vals if abs(lam) < tol_zero * scale)
+    return sum(1 for lam in vals if abs(lam) < TOL_ZERO * scale)
 
 
 # -- nullity maximization -----------------------------------------------------
@@ -191,25 +189,29 @@ class NotAchieved:
 def certificate_from_json_obj(obj) -> NullityCertificate:
     pm = pattern_from_json_obj(obj)
     cert = certify(pm, obj["k"])
-    if cert is None:
+    if cert is None or cert.k != obj["k"]:
         raise ContractError("stored matrix no longer certifies the claimed nullity")
     return cert
 
 
-def certify(pm: PatternMatrix, k):
-    """Numerical certificate for nullity k (1 <= k <= n), or None when a check fails.
+def certify(pm: PatternMatrix, target):
+    """Numerical certificate for the nullity k that pm shows, or None unless
+    1 <= k <= target (1 <= target <= n).
 
-    The k smallest |eigenvalues| from the in-house Jacobi solver, not the
-    optimizer's LAPACK path, must lie below TOL_ZERO * max(1, ||A||_F); the
-    next must be GAP_FACTOR times that threshold or more; and k may not
-    exceed the forcing number on subcubic hosts with n <= 12.  This is a
-    float check, not a proof.
+    k counts the eigenvalues from the in-house Jacobi solver, not the
+    optimizer's LAPACK path, below TOL_ZERO * max(1, ||A||_F).  The next
+    smallest |eigenvalue| must be GAP_FACTOR times that threshold or more,
+    and k may not exceed the forcing number on subcubic hosts with n <= 12.
+    One spectrum decides every k: the k smallest |eigenvalues| below the
+    threshold and the next one at GAP_FACTOR times it hold together only when
+    k is the count below.  This is a float check, not a proof.
     """
-    if not 1 <= k <= pm.host.n:
-        raise ContractError(f"k must lie in 1..{pm.host.n}, got {k}")
+    if not 1 <= target <= pm.host.n:
+        raise ContractError(f"target must lie in 1..{pm.host.n}, got {target}")
     vals, scale = _eigenvalues_and_scale(pm)
     by_abs = sorted(vals, key=abs)
-    if any(abs(lam) >= TOL_ZERO * scale for lam in by_abs[:k]):
+    k = sum(1 for lam in by_abs if abs(lam) < TOL_ZERO * scale)
+    if not 1 <= k <= target:
         return None
     gap = abs(by_abs[k]) if k < len(by_abs) else math.inf
     if gap < GAP_FACTOR * TOL_ZERO * scale:
@@ -268,17 +270,14 @@ def _descent(ends, diag, weights, target, iters):
 
 
 def _certify_best(g: Graph, diag, weights, target):
-    """Largest k <= target that certifies on this matrix, with its certificate."""
+    """The certified k <= target of this matrix with its certificate, else (0, None)."""
     finite = np.all(np.isfinite(diag)) and np.all(np.isfinite(weights))
     if not finite or np.any(np.abs(weights) < EDGE_MIN):
         return 0, None
     weights_by_edge = dict(zip(g.edges, map(float, weights)))
     pm = PatternMatrix(host=g, diag=tuple(map(float, diag)), weights=weights_by_edge)
-    for k in range(target, 0, -1):
-        cert = certify(pm, k)
-        if cert is not None:
-            return k, cert
-    return 0, None
+    cert = certify(pm, target)
+    return (0, None) if cert is None else (cert.k, cert)
 
 
 def maximize_nullity(g: Graph, target, budget=(50, 2000), seed=0):
@@ -317,70 +316,43 @@ def maximize_nullity(g: Graph, target, budget=(50, 2000), seed=0):
 def is_figure8(g: Graph):
     """Detect a 5-cycle whose every vertex carries one pendant path.
 
-    Cycle vertices must have degree exactly 3; each pendant path has at
-    least one edge, internal degrees 2 and tip degree 1; the paths are
-    disjoint and exhaust the graph.  Returns (flag, decomposition).
+    Such a graph is connected with as many edges as vertices, so it has one
+    cycle, which is what remains after leaves are peeled until none are left.
+    That core must be 5 vertices of degree 3, and every peeled vertex must
+    have degree at most 2, so that each cycle vertex carries one path.
+    Returns (flag, decomposition): the cycle starts at its smallest vertex and
+    goes first to the smaller of its cycle neighbours, and the paths follow
+    the cycle order, each read outwards from the cycle.
     """
-    n = g.n
-    if n < 10:
+    if g.edge_count != g.n or not g.is_connected():
         return False, None
-    import itertools as it
-
-    for combo in it.combinations(range(n), 5):
-        if any(g.degree(v) != 3 for v in combo):
-            continue
-        inside = set(combo)
-        if any(sum(1 for w in g.neighbors(v) if w in inside) != 2 for v in combo):
-            continue
-        cycle = _arrange_cycle(g, combo)
-        if cycle is None:
-            continue
-        paths = []
-        used = set(combo)
-        ok = True
-        for c in cycle:
-            start = next(w for w in g.neighbors(c) if w not in inside)
-            path = []
-            prev, cur = c, start
-            while True:
-                if cur in used:
-                    ok = False
-                    break
-                path.append(cur)
-                used.add(cur)
-                deg = g.degree(cur)
-                if deg == 1:
-                    break
-                if deg != 2:
-                    ok = False
-                    break
-                nxt = next(w for w in g.neighbors(cur) if w != prev)
-                prev, cur = cur, nxt
-            if not ok:
-                break
-            paths.append(tuple(path))
-        if ok and len(used) == n:
-            return True, {"cycle": cycle, "paths": tuple(paths)}
-    return False, None
-
-
-def _arrange_cycle(g: Graph, combo):
-    """Order a 5-subset as a cycle, or None; starts at the smallest vertex."""
-    start = combo[0]
-    inside = set(combo)
-    nbrs = [w for w in g.neighbors(start) if w in inside]
-    if len(nbrs) != 2:
-        return None
-    path = [start, min(nbrs)]
-    while len(path) < 5:
-        cur = path[-1]
-        nxt = [w for w in g.neighbors(cur) if w in inside and w != path[-2]]
-        if len(nxt) != 1:
-            return None
-        path.append(nxt[0])
-    if not g.adjacent(path[-1], start):
-        return None
-    return tuple(path)
+    left = [g.degree(v) for v in range(g.n)]  # degree among unpeeled vertices
+    leaves = [v for v in range(g.n) if left[v] == 1]
+    while leaves:
+        v = leaves.pop()
+        left[v] = 0
+        for w in g.neighbors(v):
+            if left[w]:
+                left[w] -= 1
+                if left[w] == 1:
+                    leaves.append(w)
+    core = [v for v in range(g.n) if left[v]]
+    if len(core) != 5 or any(g.degree(v) != 3 for v in core):
+        return False, None
+    if any(g.degree(v) > 2 for v in range(g.n) if not left[v]):
+        return False, None
+    cycle = [core[0], min(w for w in g.neighbors(core[0]) if left[w])]
+    while len(cycle) < 5:
+        cycle.append(next(w for w in g.neighbors(cycle[-1]) if left[w] and w != cycle[-2]))
+    paths = []
+    for c in cycle:
+        prev, cur = c, next(w for w in g.neighbors(c) if not left[w])
+        path = [cur]
+        while g.degree(cur) == 2:
+            prev, cur = cur, next(w for w in g.neighbors(cur) if w != prev)
+            path.append(cur)
+        paths.append(tuple(path))
+    return True, {"cycle": tuple(cycle), "paths": tuple(paths)}
 
 
 # -- classification ------------------------------------------------------------

@@ -145,6 +145,14 @@ def test_verify_conflicting_sources(capsys):
     assert "exactly one" in err
 
 
+def test_verify_corrupt_resume_file_is_io_error(capsys, tmp_path):
+    out = tmp_path / "r.jsonl"
+    out.write_text("this is not json\n")
+    code, _, err = run_cli(capsys, "verify", "--nmax", "2", "--resume", "--out", str(out))
+    assert code == 2
+    assert err.startswith("I/O error:")
+
+
 def test_unknown_builtin_is_usage_error(capsys):
     code, _, err = run_cli(capsys, "fnum", "Q17")
     assert code == 2
@@ -156,3 +164,4 @@ def test_env_seed_override(capsys, monkeypatch):
     code, out, _ = run_cli(capsys, "nullity", "C4", "--target", "2", "--seed", "9", "--budget", "8x600")
     assert code == 0
     assert json.loads(out)["k"] == 2
+

@@ -1,5 +1,7 @@
+import itertools
 import json
 import math
+import random
 
 import numpy as np
 import pytest
@@ -197,6 +199,18 @@ def test_certify_rejects_k_outside_one_to_n(k):
         certificate_from_json_obj(json.loads(json.dumps(pm.to_json_obj(k=k))))
 
 
+def test_certify_reads_k_off_the_spectrum():
+    # the unit P3 matrix has nullity 1, which lies within a target of 2
+    cert = certify(unit_pattern(path_graph(3)), 2)
+    assert cert is not None and cert.k == 1
+
+
+def test_stored_certificate_above_its_nullity_is_rejected():
+    obj = json.loads(json.dumps(unit_pattern(path_graph(3)).to_json_obj(k=2)))
+    with pytest.raises(ContractError):
+        certificate_from_json_obj(obj)
+
+
 def test_not_achieved_carries_best_k():
     result = maximize_nullity(path_graph(4), 2, budget=(3, 200), seed=1)
     assert isinstance(result, NotAchieved)
@@ -254,6 +268,34 @@ def test_fig8_longer_pendants():
     flag, decomp = is_figure8(fig8_graph([1, 2, 1, 3, 1]))
     assert flag
     assert sorted(len(p) for p in decomp["paths"]) == [1, 1, 1, 2, 3]
+
+
+def test_fig8_decomposition_rebuilds_every_relabeled_instance():
+    rng = random.Random(8)
+    for lengths in itertools.product((1, 2, 3), repeat=5):
+        base = fig8_graph(lengths)
+        for _ in range(2):
+            perm = list(range(base.n))
+            rng.shuffle(perm)
+            g = base.relabel(perm)
+            flag, decomp = is_figure8(g)
+            assert flag, lengths
+            cycle, paths = decomp["cycle"], decomp["paths"]
+            edges = {(cycle[i], cycle[(i + 1) % 5]) for i in range(5)}
+            for c, path in zip(cycle, paths):
+                edges |= set(zip((c,) + path, path))
+            assert {tuple(sorted(e)) for e in edges} == set(g.edges)
+            assert len(edges) == g.edge_count
+            assert sorted(map(len, paths)) == sorted(lengths)
+
+
+def test_fig8_rejects_every_single_edge_change():
+    g = fig8_graph((1, 2, 1, 2, 1))
+    for e in g.edges:
+        assert is_figure8(Graph(g.n, [f for f in g.edges if f != e])) == (False, None)
+    for u, v in itertools.combinations(range(g.n), 2):
+        if not g.adjacent(u, v) and g.degree(u) < 3 and g.degree(v) < 3:
+            assert is_figure8(Graph(g.n, g.edges + ((u, v),))) == (False, None)
 
 
 def test_fig8_rejects_plain_cycle():
