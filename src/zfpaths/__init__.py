@@ -9,7 +9,7 @@ from .graphs import (
     is_induced_path,
     parse_graph6,
 )
-from .forcing import ForcingOutcome, ForcingRun, closure, forcing_number, is_forcing_set, total_forcing_number
+from .forcing import ForcingRun, closure, forcing_number, is_forcing_set, total_forcing_number
 from .chains import (
     Chain,
     ChainSet,

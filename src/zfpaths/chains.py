@@ -21,7 +21,7 @@ from .errors import (
     NotForcingSetError,
     UnsupportedInputError,
 )
-from .forcing import ForcingOutcome, closure
+from .forcing import ForcingRun, closure
 from .graphs import Graph, is_induced_path
 
 
@@ -139,12 +139,10 @@ class OrderIndex:
                         yield a, b, c, d
 
 
-def extract_chains(outcome: ForcingOutcome) -> ChainSet:
+def extract_chains(run: ForcingRun) -> ChainSet:
     """Chains of a complete forcing run, resolving forcer ties by lowest id."""
-    if not outcome.complete:
-        raise NotForcingSetError("chain extraction needs a complete forcing outcome")
-    run = outcome.run
-    host = outcome.host
+    if not run.complete:
+        raise NotForcingSetError("chain extraction needs a complete forcing run")
     chosen = {}
     for u, v, _ in run.events:
         if v not in chosen or u < chosen[v]:
@@ -160,7 +158,7 @@ def extract_chains(outcome: ForcingOutcome) -> ChainSet:
         while seq[-1] in succ:
             seq.append(succ[seq[-1]])
         chains.append(Chain(tuple(seq)))
-    cs = ChainSet(chains=tuple(chains), host=host, origin=run.initial, run=run)
+    cs = ChainSet(chains=tuple(chains), host=run.host, origin=run.initial, run=run)
     _validate(cs)
     bad = invalid_links(cs)
     if bad:
@@ -292,10 +290,10 @@ def unfavorite_vertices(cs: ChainSet):
 def _rebuild(host: Graph, chains) -> ChainSet:
     chains = tuple(sorted(chains, key=lambda c: c.head))
     origin = frozenset(c.head for c in chains)
-    outcome = closure(host, origin)
-    if not outcome.complete:
+    run = closure(host, origin)
+    if not run.complete:
         raise InternalLogicError(f"rewritten origin {sorted(origin)} is not a forcing set")
-    cs = ChainSet(chains=chains, host=host, origin=origin, run=outcome.run)
+    cs = ChainSet(chains=chains, host=host, origin=origin, run=run)
     _validate(cs)
     return cs
 

@@ -115,19 +115,18 @@ def _cmd_tfnum(args):
 
 def _cmd_closure(args):
     g = resolve_graph(args.input)
-    outcome = closure(g, _parse_set(args.set))
-    run = outcome.run
+    run = closure(g, _parse_set(args.set))
     payload = {
         "initial": sorted(run.initial),
         "layers": [sorted(layer) for layer in run.layers],
         "step_of": {str(v): s for v, s in sorted(run.step_of.items())},
         "events": [list(e) for e in run.events],
-        "derived": sorted(outcome.derived),
-        "complete": outcome.complete,
+        "derived": sorted(run.derived),
+        "complete": run.complete,
     }
     print(json.dumps(payload))
     print(
-        f"derived {len(outcome.derived)}/{g.n} vertices in {len(run.layers) - 1} steps",
+        f"derived {len(run.derived)}/{g.n} vertices in {len(run.layers) - 1} steps",
         file=sys.stderr,
     )
     return 0
@@ -212,7 +211,6 @@ def _cmd_verify(args):
         out_path=args.out,
         seed=args.seed,
         nullity_budget=args.budget,
-        advisory=args.advisory,
     )
     payload = {
         "corpus": report.corpus_id,
@@ -282,7 +280,6 @@ def build_parser():
     p.add_argument("--out", default=None)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--budget", type=_parse_budget, default=(50, 2000))
-    p.add_argument("--advisory", action="store_true")
     p = add("enumerate", _cmd_enumerate, help="connected subcubic graphs up to isomorphism")
     p.add_argument("--n", type=int, required=True)
     return parser
@@ -294,8 +291,6 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
-    if "ZF_SEED" in os.environ and hasattr(args, "seed"):
-        args.seed = int(os.environ["ZF_SEED"])
     try:
         return args.handler(args)
     except UsageError as exc:

@@ -28,7 +28,7 @@ class InvalidSequenceError(ZfError):
 
 
 class NotForcingSetError(ZfError):
-    """Operation requires a complete forcing outcome."""
+    """Operation requires a complete forcing run."""
 
 
 class UnsupportedInputError(ZfError):

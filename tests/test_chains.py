@@ -233,7 +233,7 @@ def _hand_built(g, seqs):
     # chains taken as given, with the run of their heads for the step order
     origin = frozenset(seq[0] for seq in seqs)
     return ChainSet(
-        chains=tuple(Chain(seq) for seq in seqs), host=g, origin=origin, run=closure(g, origin).run
+        chains=tuple(Chain(seq) for seq in seqs), host=g, origin=origin, run=closure(g, origin)
     )
 
 

@@ -157,11 +157,3 @@ def test_unknown_builtin_is_usage_error(capsys):
     code, _, err = run_cli(capsys, "fnum", "Q17")
     assert code == 2
     assert "usage error" in err
-
-
-def test_env_seed_override(capsys, monkeypatch):
-    monkeypatch.setenv("ZF_SEED", "123")
-    code, out, _ = run_cli(capsys, "nullity", "C4", "--target", "2", "--seed", "9", "--budget", "8x600")
-    assert code == 0
-    assert json.loads(out)["k"] == 2
-

@@ -11,6 +11,7 @@ from zfpaths.graphs import (
     complete_graph,
     cycle_graph,
     disjoint_union,
+    encode_graph6,
     enumerate_connected_subcubic,
     path_graph,
 )
@@ -18,21 +19,28 @@ from zfpaths.graphs import (
 
 def test_closure_path_from_endpoint():
     out = closure(path_graph(4), [0])
-    assert [sorted(l) for l in out.run.layers] == [[0], [1], [2], [3]]
+    assert [sorted(l) for l in out.layers] == [[0], [1], [2], [3]]
     assert out.complete
 
 
 def test_closure_stalls_on_k4():
     out = closure(complete_graph(4), [0])
-    assert [sorted(l) for l in out.run.layers] == [[0]]
+    assert [sorted(l) for l in out.layers] == [[0]]
     assert not out.complete
 
 
 def test_closure_synchronous_layers_and_events():
     out = closure(cycle_graph(4), [0, 1])
-    assert [sorted(l) for l in out.run.layers] == [[0, 1], [2, 3]]
-    assert set(out.run.events) == {(1, 2, 1), (0, 3, 1)}
+    assert [sorted(l) for l in out.layers] == [[0, 1], [2, 3]]
+    assert set(out.events) == {(1, 2, 1), (0, 3, 1)}
     assert out.complete
+
+
+def test_closure_from_empty_set():
+    out = closure(path_graph(3), [])
+    assert out.layers == (frozenset(),)
+    assert out.derived == frozenset() and out.events == ()
+    assert not out.complete
 
 
 def test_closure_rejects_bad_vertex():
@@ -71,9 +79,33 @@ def test_total_forcing_examples():
     assert total_forcing_number(disjoint_union([path_graph(2)] * 3))[0] == 6
 
 
+def brute_total_forcing(g):
+    """The minimum size, then the lexicographically smallest subset with no
+    isolated vertex that the sequential oracle completes."""
+    for k in range(1, g.n + 1):
+        for s in itertools.combinations(range(g.n), k):
+            if all(set(g.neighbors(v)) & set(s) for v in s):
+                if sequential_closure(g, s) == frozenset(range(g.n)):
+                    return k, s
+
+
+def test_total_forcing_matches_brute_force():
+    graphs = [g for n in range(2, 8) for g in enumerate_connected_subcubic(n)]
+    graphs += [disjoint_union([path_graph(2)] * j) for j in range(2, 5)]
+    for g in graphs:
+        assert total_forcing_number(g) == brute_total_forcing(g), encode_graph6(g)
+
+
 def test_total_forcing_rejects_isolated_vertices():
     with pytest.raises(IsolatedVertexError):
         total_forcing_number(Graph(3, [(0, 1)]))
+
+
+def test_forcing_numbers_reject_the_empty_graph():
+    with pytest.raises(InvalidVertexError):
+        forcing_number(Graph(0))
+    with pytest.raises(InvalidVertexError):
+        total_forcing_number(Graph(0))
 
 
 def test_schedule_independence(rng):

@@ -5,8 +5,9 @@ import pytest
 from zfpaths import harness
 from zfpaths.cli import main
 from zfpaths.errors import NumericalFailureError, UnsupportedInputError
-from zfpaths.graphs import canonical_form
+from zfpaths.graphs import canonical_form, encode_graph6, fig8_graph, path_graph
 from zfpaths.harness import ALL_CHECKS, diff_reports, run_suite
+from zfpaths.nullity import classify
 
 
 def strip_timings(records):
@@ -45,6 +46,39 @@ def test_suite_survives_one_failing_graph(monkeypatch):
     for key, rec in report.records.items():
         if key != "C~" and rec["tag"] != "Beyond":
             assert rec["m_certified"] == rec["f"], key
+
+
+def spy_on_nullity_targets(monkeypatch):
+    """(graph, target) of every call the harness makes to maximize_nullity."""
+    calls = []
+    real = harness.maximize_nullity
+
+    def spy(g, target, *args, **kwargs):
+        calls.append((g, target))
+        return real(g, target, *args, **kwargs)
+
+    monkeypatch.setattr(harness, "maximize_nullity", spy)
+    return calls
+
+
+def test_suite_asks_only_for_classified_m_off_figure8(monkeypatch):
+    asked = spy_on_nullity_targets(monkeypatch)
+    report = run_suite(4, nullity_budget=(15, 800), seed=2)
+    assert report.ok and not report.warnings
+    assert len(asked) == sum(rec["tag"] != "Beyond" for rec in report.records.values())
+    assert all(target == classify(g).m for g, target in asked)
+
+
+def test_suite_overruns_on_figure8_only(tmp_path, monkeypatch):
+    calls = spy_on_nullity_targets(monkeypatch)
+    path = tmp_path / "two.g6"
+    path.write_text(f"{encode_graph6(fig8_graph((1, 1, 1, 1, 1)))}\n{encode_graph6(path_graph(5))}\n")
+    report = run_suite(str(path), nullity_budget=(20, 1200), seed=0)
+    # target 2 then the over-run to 3 on the figure-8 graph; only m = 1 on P5
+    assert [(g.n, target) for g, target in calls] == [(10, 2), (10, 3), (5, 1)]
+    assert report.ok and not report.warnings
+    fig8 = next(rec for rec in report.records.values() if rec["n"] == 10)
+    assert fig8["tag"] == "Figure8_F3M2" and fig8["f"] == 3 and fig8["m_certified"] == 2
 
 
 def test_suite_classifies_k4_and_k33(tmp_path):
