@@ -11,7 +11,6 @@ from .graphs import (
 )
 from .forcing import ForcingRun, closure, forcing_number, is_forcing_set, total_forcing_number
 from .chains import (
-    Chain,
     ChainSet,
     bad_vertices,
     chains_for,

@@ -1,12 +1,16 @@
 """Forcing chains: extraction, defect detection, and repair rewrites.
 
 A complete forcing run partitions the vertices into |F| chains, one per
-initially colored vertex, each an induced path.  Two kinds of defect can
-block a parallel-path drawing: a vertex with two non-consecutive neighbors
-in another non-trivial chain ("bad"), and a vertex whose two cross
-neighbors are witnessed by an inverting segment between the other two
-chains ("unfavorite").  The repair rewrites move the offending head into
-the witnessing chain, strictly shrinking the defect count each round.
+initially colored vertex, each an induced path.  A chain is the tuple of
+its vertices read from its head, and a chain set is a run plus its chains,
+sorted by head; positions and owners are looked up in its `OrderIndex`.
+
+Two kinds of defect can block a parallel-path drawing: a vertex with two
+non-consecutive neighbors in another non-trivial chain ("bad"), and a
+vertex whose two cross neighbors are witnessed by an inverting segment
+between the other two chains ("unfavorite").  The repair rewrites move
+the offending head into the witnessing chain, strictly shrinking the
+defect count each round.
 """
 
 from __future__ import annotations
@@ -26,53 +30,31 @@ from .graphs import Graph, is_induced_path
 
 
 @dataclass(frozen=True)
-class Chain:
-    seq: tuple
-
-    @property
-    def head(self):
-        return self.seq[0]
-
-    @property
-    def trivial(self):
-        return len(self.seq) == 1
-
-    def position(self, v):
-        return self.seq.index(v)
-
-    def before(self, u, v):
-        """Chain order: u precedes v in this chain."""
-        return self.seq.index(u) < self.seq.index(v)
-
-    def __contains__(self, v):
-        return v in self.seq
-
-    def __len__(self):
-        return len(self.seq)
-
-
-@dataclass(frozen=True)
 class ChainSet:
-    chains: tuple  # Chain objects, sorted by head id
-    host: Graph
-    origin: frozenset
-    run: ForcingRun
+    chains: tuple  # vertex tuples, each read from its head, sorted by head
+    run: ForcingRun  # the run of the heads
+
+    @property
+    def host(self) -> Graph:
+        return self.run.host
+
+    @property
+    def origin(self) -> frozenset:
+        return self.run.initial
 
     @cached_property
     def index(self):
-        return OrderIndex(self.host, [c.seq for c in self.chains])
-
-    def chain_of(self, v):
-        return self.chains[self.index.owner[v]]
+        return OrderIndex(self.host, self.chains)
 
     def nontrivial(self):
-        return [c for c in self.chains if not c.trivial]
+        """Indices of the chains with more than one vertex."""
+        return [i for i, c in enumerate(self.chains) if len(c) > 1]
 
     def trivial_count(self):
-        return sum(1 for c in self.chains if c.trivial)
+        return len(self.chains) - len(self.nontrivial())
 
     def to_json(self):
-        return {"origin": sorted(self.origin), "chains": [list(c.seq) for c in self.chains]}
+        return {"origin": sorted(self.origin), "chains": [list(c) for c in self.chains]}
 
 
 class OrderIndex:
@@ -157,8 +139,8 @@ def extract_chains(run: ForcingRun) -> ChainSet:
         seq = [f]
         while seq[-1] in succ:
             seq.append(succ[seq[-1]])
-        chains.append(Chain(tuple(seq)))
-    cs = ChainSet(chains=tuple(chains), host=run.host, origin=run.initial, run=run)
+        chains.append(tuple(seq))
+    cs = ChainSet(chains=tuple(chains), run=run)
     _validate(cs)
     bad = invalid_links(cs)
     if bad:
@@ -173,16 +155,13 @@ def chains_for(g: Graph, colored) -> ChainSet:
 
 def _validate(cs: ChainSet):
     """Partition, head, induced-path, and realizability checks on a chain set."""
-    seen = []
-    for c in cs.chains:
-        seen.extend(c.seq)
-    if sorted(seen) != list(range(cs.host.n)):
+    if sorted(v for c in cs.chains for v in c) != list(range(cs.host.n)):
         raise InternalLogicError("chains do not partition the vertex set")
-    if frozenset(c.head for c in cs.chains) != cs.origin:
+    if frozenset(c[0] for c in cs.chains) != cs.origin:
         raise InternalLogicError("chain heads differ from the originating set")
     for c in cs.chains:
-        if not is_induced_path(cs.host, c.seq):
-            raise InternalLogicError(f"chain {c.seq} is not an induced path")
+        if not is_induced_path(cs.host, c):
+            raise InternalLogicError(f"chain {c} is not an induced path")
     if not sequentially_realizable(cs):
         raise InternalLogicError("chains admit no chronological sequence of forces")
 
@@ -198,7 +177,7 @@ def invalid_links(cs: ChainSet):
     step = cs.run.step_of
     bad = []
     for c in cs.chains:
-        for u, v in zip(c.seq, c.seq[1:]):
+        for u, v in zip(c, c[1:]):
             sv = step.get(v)
             su = step.get(u)
             if su is None or sv is None or su >= sv:
@@ -225,9 +204,9 @@ def sequentially_realizable(cs: ChainSet):
         fired = False
         for i, c in enumerate(cs.chains):
             j = pointer[i]
-            if j >= len(c.seq):
+            if j >= len(c):
                 continue
-            u, v = c.seq[j - 1], c.seq[j]
+            u, v = c[j - 1], c[j]
             if all(w in colored for w in cs.host.neighbors(u) if w != v):
                 colored.add(v)
                 pointer[i] = j + 1
@@ -241,14 +220,10 @@ def sequentially_realizable(cs: ChainSet):
 # -- defect detectors -------------------------------------------------------
 
 
-def _nontrivial_indices(cs: ChainSet):
-    return [i for i, c in enumerate(cs.chains) if not c.trivial]
-
-
 def _heads_only(cs: ChainSet, result, kind):
     if cs.host.max_degree() <= 3:
         for v in result:
-            if cs.chain_of(v).head != v:
+            if cs.index.pos[v] != 0:
                 raise InternalLogicError(
                     f"{kind} vertex {v} is not the head of its chain (degree cap 3)"
                 )
@@ -259,7 +234,7 @@ def bad_vertices(cs: ChainSet):
     """Vertices of a non-trivial chain with two non-consecutive neighbors in
     another non-trivial chain."""
     index = cs.index
-    nontrivial = _nontrivial_indices(cs)
+    nontrivial = cs.nontrivial()
     result = {
         v
         for i, j in itertools.permutations(nontrivial, 2)
@@ -273,7 +248,7 @@ def unfavorite_vertices(cs: ChainSet):
     """Vertices with cross neighbors in two other non-trivial chains witnessed
     by a later/earlier segment between those chains."""
     index = cs.index
-    nontrivial = _nontrivial_indices(cs)
+    nontrivial = cs.nontrivial()
     result = {
         x
         for i in nontrivial
@@ -288,39 +263,38 @@ def unfavorite_vertices(cs: ChainSet):
 
 
 def _rebuild(host: Graph, chains) -> ChainSet:
-    chains = tuple(sorted(chains, key=lambda c: c.head))
-    origin = frozenset(c.head for c in chains)
+    chains = tuple(sorted(chains, key=lambda c: c[0]))
+    origin = frozenset(c[0] for c in chains)
     run = closure(host, origin)
     if not run.complete:
         raise InternalLogicError(f"rewritten origin {sorted(origin)} is not a forcing set")
-    cs = ChainSet(chains=chains, host=host, origin=origin, run=run)
+    cs = ChainSet(chains=chains, run=run)
     _validate(cs)
     return cs
 
 
-def _head_rewrite(cs: ChainSet, x, c_from: Chain, a):
-    """Move head x of its chain onto the witnessing chain after vertex a.
+def _head_rewrite(cs: ChainSet, x, j, a):
+    """Move head x of its chain onto chain j after its vertex a.
 
-    With R1 the chain of x and R2 = c_from containing a, the new chains are
-    x'R2 (suffix from the successor of a) and R2-prefix-through-a + R1.
+    With R1 the chain of x and R2 chain j, the new chains are x'R2 (suffix
+    from the successor of a) and R2-prefix-through-a + R1.
     """
-    c1 = cs.chain_of(x)
-    if c1.head != x:
+    i = cs.index.owner[x]
+    if cs.index.pos[x] != 0:
         raise InternalLogicError(f"rewrite target {x} is not a chain head")
-    pa = c_from.position(a)
-    new_tail = Chain(c_from.seq[pa + 1 :])
-    new_merged = Chain(c_from.seq[: pa + 1] + c1.seq)
-    rest = [c for c in cs.chains if c is not c1 and c is not c_from]
-    return _rebuild(cs.host, rest + [new_tail, new_merged])
+    r1, r2 = cs.chains[i], cs.chains[j]
+    pa = cs.index.pos[a]
+    rest = [c for k, c in enumerate(cs.chains) if k not in (i, j)]
+    return _rebuild(cs.host, rest + [r2[pa + 1 :], r2[: pa + 1] + r1])
 
 
 def _bad_witness(cs: ChainSet, x):
-    """The chain and earlier neighbor witnessing that x is bad."""
+    """The chain index and earlier neighbor witnessing that x is bad."""
     i = cs.index.owner[x]
-    for j in _nontrivial_indices(cs):
+    for j in cs.nontrivial():
         positions = cs.index.split(x, j) if j != i else []
         if positions:
-            return cs.chains[j], cs.chains[j].seq[positions[0]]
+            return j, cs.chains[j][positions[0]]
     raise InternalLogicError(f"no bad witness found for {x}")
 
 
@@ -341,20 +315,20 @@ def eliminate_bad(cs: ChainSet) -> ChainSet:
         if not bad:
             return current
         x = min(bad)
-        c2, a = _bad_witness(current, x)
-        third = [c for c in current.chains if c is not current.chain_of(x) and c is not c2]
-        rewritten = _head_rewrite(current, x, c2, a)
+        j, a = _bad_witness(current, x)
+        third = [c for k, c in enumerate(current.chains) if k not in (current.index.owner[x], j)]
+        rewritten = _head_rewrite(current, x, j, a)
         if len(bad_vertices(rewritten)) < len(bad):
             current = rewritten
             continue
         # Second stage: the rewrite made the remaining head bad; move it too.
-        if len(third) != 1 or third[0].trivial:
+        if len(third) != 1 or len(third[0]) == 1:
             raise InternalLogicError("bad count failed to drop with no third head to move")
-        z = third[0].head
+        z = third[0][0]
         if z not in bad_vertices(rewritten):
             raise InternalLogicError("bad count failed to drop yet third head is not bad")
-        c2z, a2 = _bad_witness(rewritten, z)
-        second = _head_rewrite(rewritten, z, c2z, a2)
+        jz, a2 = _bad_witness(rewritten, z)
+        second = _head_rewrite(rewritten, z, jz, a2)
         if len(bad_vertices(second)) >= len(bad):
             raise InternalLogicError("two-stage rewrite did not decrease the bad count")
         current = second
@@ -375,10 +349,10 @@ def eliminate_unfavorite(cs: ChainSet) -> ChainSet:
             return current
         x = min(unfav)
         i = current.index.owner[x]
-        others = [j for j in _nontrivial_indices(current) if j != i]
+        others = [j for j in current.nontrivial() if j != i]
         witness = next(
             (
-                (current.chains[j], fan[0])
+                (j, fan[0])
                 for j, k in itertools.permutations(others, 2)
                 for fan in current.index.fan_inversions(x, j, k)
             ),
@@ -423,11 +397,11 @@ def check_order_lemmas(cs: ChainSet) -> OrderLemmaReport:
     step = cs.run.step_of
     index = cs.index
     for i, c in enumerate(cs.chains):
-        for p, x in enumerate(c.seq[:-1]):
+        for p, x in enumerate(c[:-1]):
             for z in cs.host.neighbors(x):
                 if index.owner.get(z) == i:
                     continue
-                for y in c.seq[p + 1 :]:
+                for y in c[p + 1 :]:
                     if step.get(z, 10**9) >= step.get(y, -1):
                         violations.append(("earlier_cross_neighbor", (x, y, z)))
     count = len(cs.chains)

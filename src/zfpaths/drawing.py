@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import ceil, floor, gcd, lcm
 
-from .chains import Chain, OrderIndex, chains_for, eliminate_bad, eliminate_unfavorite
+from .chains import OrderIndex, chains_for, eliminate_bad, eliminate_unfavorite
 from .errors import (
     ContractError,
     DrawingConstructionError,
@@ -56,9 +56,6 @@ class DrawingReport:
     @property
     def ok(self):
         return not self.violations
-
-    def __bool__(self):
-        return self.ok
 
 
 # -- exact geometry core ----------------------------------------------------
@@ -281,8 +278,7 @@ def ladder_drawing(g: Graph, r1, r2) -> LadderDrawing:
     """The ladder of a chain pair: slots, thick merges of shared neighbor pairs
     and vertical segments, as in the paper's Figure 6.  It carries no
     coordinates; `place_third` draws it with a third row through `realize`."""
-    t = tuple(r1.seq if isinstance(r1, Chain) else r1)
-    b = tuple(r2.seq if isinstance(r2, Chain) else r2)
+    t, b = tuple(r1), tuple(r2)
     if set(t) & set(b):
         raise ContractError("ladder chains must be vertex disjoint")
     if not is_induced_path(g, t) or not is_induced_path(g, b):
@@ -500,7 +496,7 @@ def _integer_grid(d: StandardDrawing) -> StandardDrawing:
 
 def place_third(g: Graph, ladder: LadderDrawing, r3) -> StandardDrawing:
     """Extend a ladder drawing by the third chain as the new top row."""
-    seq = tuple(r3.seq if isinstance(r3, Chain) else r3)
+    seq = tuple(r3)
     if len(seq) == 1:
         deg_into = sum(1 for w in g.neighbors(seq[0]) if w in set(ladder.top) | set(ladder.bottom))
         if deg_into > 2:
@@ -541,27 +537,30 @@ def build_standard_drawing(g: Graph) -> StandardDrawing:
     cs = chains_for(g, witness)
     cs = eliminate_bad(cs)
     cs = eliminate_unfavorite(cs)
-    p1, p2 = _ladder_pair(g, cs.chains)
-    p3 = next(c for c in cs.chains if c is not p1 and c is not p2)
+    i, j = _ladder_pair(cs)
+    p1, p2 = cs.chains[i], cs.chains[j]
+    p3 = next(c for k, c in enumerate(cs.chains) if k not in (i, j))
     if not cs.trivial_count():
-        violations = check_parallel_properties(g, p1.seq, p2.seq, p3.seq)
+        violations = check_parallel_properties(g, p1, p2, p3)
         if violations:
             raise InternalLogicError(
                 f"repaired chains violate parallel-path properties: {violations[:3]}"
             )
-    return _draw(g, (p3.seq, p1.seq, p2.seq))
+    return _draw(g, (p3, p1, p2))
 
 
-def _ladder_pair(g: Graph, chains):
-    """The chain pair with the fewest trivial chains, then the most cross
-    edges; ties favor smaller head ids."""
-    best = None
-    for c1, c2 in itertools.combinations(chains, 2):
-        count = sum(1 for u in c1.seq for v in g.neighbors(u) if v in c2)
-        key = (c1.trivial + c2.trivial, -count, c1.head, c2.head)
-        if best is None or key < best[0]:
-            best = (key, (c1, c2))
-    return best[1]
+def _ladder_pair(cs):
+    """Indices of the chain pair with the fewest trivial chains, then the
+    most cross edges; ties favor smaller head ids, which are smaller indices
+    because the chains are sorted by head."""
+    return min(
+        itertools.combinations(range(len(cs.chains)), 2),
+        key=lambda ij: (
+            sum(len(cs.chains[k]) == 1 for k in ij),
+            -len(cs.index.cross[ij]),
+            ij,
+        ),
+    )
 
 
 def build_parallel_drawing(g: Graph) -> StandardDrawing:
@@ -570,7 +569,7 @@ def build_parallel_drawing(g: Graph) -> StandardDrawing:
         raise UnsupportedInputError("parallel drawings need maximum degree <= 3")
     k, witness = forcing_number(g)
     if k in (1, 2):
-        return _draw(g, tuple(c.seq for c in chains_for(g, witness).chains))
+        return _draw(g, chains_for(g, witness).chains)
     if k == 3:
         return build_standard_drawing(g)
     raise UnsupportedInputError(f"forcing number {k} exceeds 3")

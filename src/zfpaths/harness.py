@@ -65,9 +65,10 @@ def _builtin_corpus(n_max):
         graphs.extend(enumerate_connected_subcubic(n))
     # disconnected path unions cover the total-forcing sharpness cases and
     # the union-of-paths side of the classification (one copy of P2 is
-    # already in the n = 2 enumeration)
+    # already in the n = 2 enumeration); a union of j edges has 2j vertices
     for j in range(2, 5):
-        graphs.append(disjoint_union([path_graph(2)] * j))
+        if 2 * j <= n_max:
+            graphs.append(disjoint_union([path_graph(2)] * j))
     return graphs
 
 

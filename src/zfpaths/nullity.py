@@ -370,10 +370,8 @@ class Classification:
     tag: str
     f: int
     m: int | None
-    mr: int | None = None  # minimum rank n - m, reported only where m is exact
 
     def to_json_obj(self):
-        # wire format carries exactly tag/f/m; mr stays an API-level extra
         return {"tag": self.tag, "f": self.f, "m": self.m}
 
 
@@ -383,10 +381,10 @@ def classify(g: Graph) -> Classification:
     if g.max_degree() > 3 or f >= 4:
         return Classification(tag=TAG_BEYOND, f=f, m=None)
     if f == 1:
-        return Classification(tag=TAG_PATH, f=f, m=1, mr=g.n - 1)
+        return Classification(tag=TAG_PATH, f=f, m=1)
     if f == 2:
-        return Classification(tag=TAG_TWO, f=f, m=2, mr=g.n - 2)
+        return Classification(tag=TAG_TWO, f=f, m=2)
     flag, _ = is_figure8(g)
     if flag:
-        return Classification(tag=TAG_FIG8, f=f, m=2, mr=g.n - 2)
-    return Classification(tag=TAG_THREE, f=f, m=3, mr=g.n - 3)
+        return Classification(tag=TAG_FIG8, f=f, m=2)
+    return Classification(tag=TAG_THREE, f=f, m=3)

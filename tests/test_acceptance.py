@@ -192,9 +192,9 @@ def test_criterion_6_property_suite(rng):
         for g in corpus():
             k, wit = forcing_number(g)
             cs = chains_for(g, wit)
-            assert sorted(v for c in cs.chains for v in c.seq) == list(range(g.n))
+            assert sorted(v for c in cs.chains for v in c) == list(range(g.n))
             for c in cs.chains:
-                assert is_induced_path(g, c.seq)
+                assert is_induced_path(g, c)
             if g.edge_count:
                 assert cs.trivial_count() <= len(cs.origin) - 1
             assert check_order_lemmas(cs).passed

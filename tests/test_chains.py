@@ -3,7 +3,6 @@ import itertools
 import pytest
 
 from zfpaths.chains import (
-    Chain,
     ChainSet,
     bad_vertices,
     chains_for,
@@ -37,18 +36,18 @@ FIG3_EXAMPLE = Graph(9, [(0, 1), (1, 2), (3, 4), (4, 5), (6, 7), (7, 8), (0, 3),
 
 def test_extract_single_chain_on_path():
     cs = chains_for(path_graph(4), [0])
-    assert [c.seq for c in cs.chains] == [(0, 1, 2, 3)]
+    assert list(cs.chains) == [(0, 1, 2, 3)]
 
 
 def test_extract_lowest_id_tie_break_on_k4():
     cs = chains_for(complete_graph(4), [0, 1, 2])
-    assert [c.seq for c in cs.chains] == [(0, 3), (1,), (2,)]
+    assert list(cs.chains) == [(0, 3), (1,), (2,)]
     assert cs.trivial_count() == 2
 
 
 def test_extract_cycle_chains():
     cs = chains_for(cycle_graph(6), [0, 1])
-    assert [c.seq for c in cs.chains] == [(0, 5, 4), (1, 2, 3)]
+    assert list(cs.chains) == [(0, 5, 4), (1, 2, 3)]
 
 
 def test_extract_requires_complete_outcome():
@@ -63,10 +62,9 @@ def test_chain_set_serialization():
 
 def test_chain_order_relation():
     cs = chains_for(path_graph(4), [0])
-    chain = cs.chains[0]
-    assert chain.before(0, 3)
-    assert not chain.before(3, 0)
-    assert cs.chain_of(2) is chain
+    assert cs.chains == ((0, 1, 2, 3),)
+    assert cs.index.pos[0] < cs.index.pos[3]
+    assert cs.index.owner[2] == 0
 
 
 def test_partition_and_induced_path_invariants(rng):
@@ -74,11 +72,11 @@ def test_partition_and_induced_path_invariants(rng):
         for g in enumerate_connected_subcubic(n):
             k, wit = forcing_number(g)
             cs = chains_for(g, wit)
-            seen = sorted(v for c in cs.chains for v in c.seq)
+            seen = sorted(v for c in cs.chains for v in c)
             assert seen == list(range(g.n))
-            assert {c.head for c in cs.chains} == set(wit)
+            assert {c[0] for c in cs.chains} == set(wit)
             for c in cs.chains:
-                assert is_induced_path(g, c.seq)
+                assert is_induced_path(g, c)
             assert not invalid_links(cs)
             if g.edge_count:
                 assert cs.trivial_count() <= len(cs.origin) - 1
@@ -102,7 +100,7 @@ def test_bad_vertices_k4_single_nontrivial_chain():
 
 def test_bad_vertex_detected():
     cs = chains_for(BAD_EXAMPLE, [0, 4])
-    assert [c.seq for c in cs.chains] == [(0, 1, 2, 3), (4, 5)]
+    assert list(cs.chains) == [(0, 1, 2, 3), (4, 5)]
     assert bad_vertices(cs) == {4}
 
 
@@ -112,7 +110,7 @@ def test_unfavorite_needs_three_nontrivial_chains():
 
 def test_unfavorite_detected_in_witness_graph():
     cs = chains_for(FIG3_EXAMPLE, [0, 3, 6])
-    assert [c.seq for c in cs.chains] == [(0, 1, 2), (3, 4, 5), (6, 7, 8)]
+    assert list(cs.chains) == [(0, 1, 2), (3, 4, 5), (6, 7, 8)]
     assert bad_vertices(cs) == frozenset()
     assert unfavorite_vertices(cs) == {0}
 
@@ -138,7 +136,7 @@ def test_eliminate_bad_frozen_example():
     fixed = eliminate_bad(cs)
     assert bad_vertices(fixed) == frozenset()
     assert sorted(fixed.origin) == [0, 2, 3]
-    assert [c.seq for c in fixed.chains] == [(0, 1, 4), (2,), (3, 5)]
+    assert list(fixed.chains) == [(0, 1, 4), (2,), (3, 5)]
     assert is_forcing_set(g, fixed.origin)
     # oracle: some size-3 forcing set admits a bad-free extraction
     assert any(
@@ -163,7 +161,7 @@ def test_eliminate_unfavorite_on_witness_graph():
     fixed = eliminate_unfavorite(cs)
     assert unfavorite_vertices(fixed) == frozenset()
     assert bad_vertices(fixed) == frozenset()
-    assert [c.seq for c in fixed.chains] == [(3, 0, 1, 2), (4, 5), (6, 7, 8)]
+    assert list(fixed.chains) == [(3, 0, 1, 2), (4, 5), (6, 7, 8)]
     assert is_forcing_set(FIG3_EXAMPLE, fixed.origin)
 
 
@@ -175,7 +173,7 @@ def test_repair_may_need_a_different_force_schedule():
     cs = chains_for(g, forcing_number(g)[1])
     fixed = eliminate_bad(cs)
     assert bad_vertices(fixed) == frozenset()
-    assert [c.seq for c in fixed.chains] == [(0, 4), (2, 9, 7, 1, 6), (5, 3, 8)]
+    assert list(fixed.chains) == [(0, 4), (2, 9, 7, 1, 6), (5, 3, 8)]
     assert sequentially_realizable(fixed)
     assert invalid_links(fixed) == [(3, 8)]
     assert is_forcing_set(g, fixed.origin)
@@ -200,7 +198,7 @@ def test_repair_pipeline_over_corpus():
             nontrivial = fixed.nontrivial()
             if len(nontrivial) == 3:
                 # a fully non-trivial repaired triple meets the drawing conditions
-                a, b, c = (ch.seq for ch in nontrivial)
+                a, b, c = (fixed.chains[i] for i in nontrivial)
                 assert check_parallel_properties(g, a, b, c) == []
 
 
@@ -232,9 +230,7 @@ def test_order_lemmas_k4():
 def _hand_built(g, seqs):
     # chains taken as given, with the run of their heads for the step order
     origin = frozenset(seq[0] for seq in seqs)
-    return ChainSet(
-        chains=tuple(Chain(seq) for seq in seqs), host=g, origin=origin, run=closure(g, origin)
-    )
+    return ChainSet(chains=tuple(seqs), run=closure(g, origin))
 
 
 def test_order_lemmas_flag_inverting_pair():

@@ -209,6 +209,22 @@ def test_drawing_tries_every_row_order(code):
         assert verify_drawing(g, d).ok
 
 
+@pytest.mark.parametrize(
+    "g, rows",
+    [
+        # fewest trivial chains: the two singletons never form the ladder pair
+        (complete_graph(4), ((2,), (0, 3), (1,))),
+        # most cross edges: three two-vertex chains
+        (parse_graph6("EsPo"), ((1, 4), (0, 3), (2, 5))),
+        # every pair has two cross edges: the smaller heads decide
+        (parse_graph6("KaGS?O@s?H@o"), ((3, 5, 10, 8, 7), (0, 6, 11, 4, 2), (1, 9))),
+    ],
+)
+def test_standard_drawing_ladder_pair(g, rows):
+    # the third chain on top, then the ladder pair
+    assert build_standard_drawing(g).rows == rows
+
+
 def test_place_third_draws_pipeline_row_order():
     # the pipeline's row order for this graph, on which a greedy left-to-right
     # placement of the top row finds no position for vertex 3
@@ -243,7 +259,7 @@ def test_thick_ladder_chain_set_matches_figure():
     from zfpaths.chains import chains_for
 
     cs = chains_for(THICK_LADDER, [0, 7, 13])
-    assert [c.seq for c in cs.chains] == [tuple(range(7)), tuple(range(7, 13)), (13,)]
+    assert cs.chains == (tuple(range(7)), tuple(range(7, 13)), (13,))
 
 
 def test_thick_ladder_thick_split_drawing_verifies():

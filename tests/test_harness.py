@@ -5,7 +5,7 @@ import pytest
 from zfpaths import harness
 from zfpaths.cli import main
 from zfpaths.errors import NumericalFailureError, UnsupportedInputError
-from zfpaths.graphs import canonical_form, encode_graph6, fig8_graph, path_graph
+from zfpaths.graphs import canonical_form, disjoint_union, encode_graph6, fig8_graph, path_graph
 from zfpaths.harness import ALL_CHECKS, diff_reports, run_suite
 from zfpaths.nullity import classify
 
@@ -20,8 +20,8 @@ def strip_timings(records):
 def test_builtin_suite_small_clean():
     report = run_suite(4, nullity_budget=(15, 800), seed=2)
     assert report.ok, report.violations
-    # 10 connected graphs up to n=4 plus the unions of 2..4 disjoint edges
-    assert report.cursor == 1 + 1 + 2 + 6 + 3
+    # 10 connected graphs up to n=4 plus the union of two disjoint edges
+    assert report.cursor == 1 + 1 + 2 + 6 + 1
     assert report.cursor == len(report.records)
     assert report.totals.get("ThreeParallel_FM3", 0) >= 1
 
@@ -36,7 +36,7 @@ def test_suite_survives_one_failing_graph(monkeypatch):
 
     monkeypatch.setattr(harness, "maximize_nullity", fail_on_k4)
     report = run_suite(4, nullity_budget=(15, 800), seed=2)
-    assert report.cursor == len(report.records) == 1 + 1 + 2 + 6 + 3
+    assert report.cursor == len(report.records) == 1 + 1 + 2 + 6 + 1
     assert report.violations == [
         ("C~", "check aborted: NumericalFailureError: Jacobi sweep did not converge")
     ]
@@ -92,12 +92,19 @@ def test_suite_classifies_k4_and_k33(tmp_path):
 
 
 def test_suite_path_union_sharpness():
-    report = run_suite(2, checks=("C_ft",), seed=0)
-    unions = [r for r in report.records.values() if r["n"] in (4, 6, 8) and r["f"] == r["n"] // 2]
-    assert unions, "path unions missing from the builtin corpus"
-    for rec in unions:
+    # the unions of 2..4 disjoint edges need n_max = 8 to be in the corpus
+    report = run_suite(8, checks=("C_ft",), seed=0)
+    for j in (2, 3, 4):
+        rec = report.records[canonical_form(disjoint_union([path_graph(2)] * j))]
+        assert rec["f"] == j
         assert rec["f_t"] == rec["n"]  # two vertices per component
     assert report.ok
+
+
+@pytest.mark.parametrize("n_max", [1, 2, 3, 4])
+def test_builtin_corpus_respects_nmax(n_max):
+    report = run_suite(n_max, checks=("E_bounds",), seed=0)
+    assert max(rec["n"] for rec in report.records.values()) <= n_max
 
 
 def test_suite_skips_high_degree_graphs(tmp_path):

@@ -318,13 +318,11 @@ def test_fig8_rejects_six_cycle_variant():
 
 
 def test_classify_examples():
-    assert classify(path_graph(9)) == Classification(tag="Path_FM1", f=1, m=1, mr=8)
-    assert classify(fig8_graph([1, 1, 1, 1, 1])) == Classification(
-        tag="Figure8_F3M2", f=3, m=2, mr=8
-    )
+    assert classify(path_graph(9)) == Classification(tag="Path_FM1", f=1, m=1)
+    assert classify(fig8_graph([1, 1, 1, 1, 1])) == Classification(tag="Figure8_F3M2", f=3, m=2)
     assert classify(complete_bipartite(3, 3)) == Classification(tag="Beyond", f=4, m=None)
-    assert classify(cycle_graph(5)) == Classification(tag="TwoParallel_FM2", f=2, m=2, mr=3)
-    assert classify(complete_graph(4)) == Classification(tag="ThreeParallel_FM3", f=3, m=3, mr=1)
+    assert classify(cycle_graph(5)) == Classification(tag="TwoParallel_FM2", f=2, m=2)
+    assert classify(complete_graph(4)) == Classification(tag="ThreeParallel_FM3", f=3, m=3)
 
 
 def test_classify_edgeless():
