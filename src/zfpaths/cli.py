@@ -174,12 +174,12 @@ def _cmd_nullity(args):
         print(json.dumps(result.to_json_obj()))
         print(f"certified nullity {result.k} (gap {result.gap:.2e})", file=sys.stderr)
     else:
-        keys = ("target", "best_k", "left_pattern")
+        keys = ("target", "best_k", "left_pattern", "stalled")
         print(json.dumps({"achieved": False, **{k: getattr(result, k) for k in keys}}))
         print(
             f"target {result.target} not achieved; best certified {result.best_k}; "
-            f"{result.left_pattern} of {result.restarts} restarts ended with an edge "
-            "weight below the pattern minimum",
+            f"of {result.restarts} restarts, {result.left_pattern} ended with an edge "
+            f"weight below the pattern minimum and {result.stalled} stalled",
             file=sys.stderr,
         )
     return 0
@@ -202,6 +202,8 @@ def _cmd_search_draw(args):
 def _cmd_verify(args):
     if (args.nmax is None) == (args.corpus is None):
         raise UsageError("give exactly one of --nmax or --corpus")
+    if args.nmax is not None and args.nmax < 1:
+        raise UsageError(f"--nmax must be at least 1, got {args.nmax}")
     source = args.nmax if args.nmax is not None else args.corpus
     checks = tuple(args.checks.split(",")) if args.checks else harness.ALL_CHECKS
     report = harness.run_suite(

@@ -3,14 +3,18 @@
 A pattern matrix for a graph has arbitrary diagonal, nonzero entries on
 edges, and exact zeros elsewhere.  The maximum nullity over such matrices
 is bounded above by the forcing number; numerical lower bounds are produced
-here by driving the smallest eigenvalues to zero with gradient descent and
-certifying the result.  Certificates are checked with an in-house Jacobi
-eigensolver, independent of the LAPACK path used inside the optimizer.
+here by driving the smallest eigenvalues to zero with L-BFGS and certifying
+the result.  A penalty pushes every edge weight above a floor relative to the
+matrix scale, away from near-boundary matrices that the float certificate
+cannot tell from pattern matrices, and a restart ends once its objective
+stalls.  Certificates are checked with an in-house Jacobi eigensolver,
+independent of the LAPACK path used inside the optimizer.
 """
 
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,6 +27,7 @@ EDGE_MIN = 1e-3  # pattern membership: |weight| >= EDGE_MIN
 TOL_ZERO = 1e-8  # relative zero threshold for nullity counting
 GAP_FACTOR = 10  # certified gap must exceed GAP_FACTOR * TOL_ZERO
 _PENALTY = 10.0
+_FLOOR_REL = 0.05  # the penalty pushes |weight| up to _FLOOR_REL * max(1, ||A||_F)
 _MG_CHECK_CAP = 12  # forcing-number cross-check cap inside certificates
 
 
@@ -164,6 +169,11 @@ def nullity_of(a: PatternMatrix):
 
 _OPT_CAP = 32
 _CLUSTER_REL = 1e-9
+_MEMORY = 8  # L-BFGS curvature pairs kept
+_FIRST_STEP = 0.05  # scale of the first direction and of steepest-descent fallbacks
+_ARMIJO = 1e-4  # sufficient-decrease constant of the line search
+_LINE_STEPS = tuple(0.5**i for i in range(47))  # 1, 1/2, ... down to the last above 1e-14
+_STALL_STEPS = 50  # a restart ends when f fails to halve over this many steps
 
 
 @dataclass(frozen=True)
@@ -184,6 +194,7 @@ class NotAchieved:
     best_k: int
     restarts: int
     left_pattern: int  # restarts whose last iterate had a weight below EDGE_MIN
+    stalled: int  # restarts ended because f stopped halving
 
 
 def certificate_from_json_obj(obj) -> NullityCertificate:
@@ -228,7 +239,12 @@ def _objective(ends, diag, weights, target):
     """Sum of the target smallest squared eigenvalues plus the pattern penalty,
     and its gradient in (diag, weights) coordinates: an eigenvalue's gradient
     averages v v^T over its cluster of equal eigenvalues, doubled off the
-    diagonal because a weight occupies two symmetric matrix entries."""
+    diagonal because a weight occupies two symmetric matrix entries.
+
+    The penalty is _PENALTY * short^2 per edge, where short is how far |weight|
+    falls below _FLOOR_REL * s, with s = max(1, ||A||_F) the scale `certify`
+    uses: an absolute floor lets the whole matrix grow until weights near the
+    floor make eigenvalues below certify's relative threshold."""
     a = assemble(ends, diag, weights)
     vals, vecs = np.linalg.eigh(a)  # ascending
     scale = max(1.0, float(np.linalg.norm(a)))
@@ -239,34 +255,77 @@ def _objective(ends, diag, weights, target):
     sizes = np.bincount(cluster)
     coef = np.bincount(cluster[selected], weights=2.0 * lam, minlength=len(sizes)) / sizes
     grad_mat = (vecs * coef[cluster]) @ vecs.T
-    short = np.maximum(EDGE_MIN - np.abs(weights), 0.0)  # the penalty is _PENALTY * short^2
+    short = np.maximum(_FLOOR_REL * scale - np.abs(weights), 0.0)
     f = float(lam @ lam + _PENALTY * (short @ short))
+    # d s / d a_ij = a_ij / s above 1, so a rising floor pulls every entry in
+    pull = 2.0 * _PENALTY * _FLOOR_REL * float(short.sum()) / scale if scale > 1.0 else 0.0
     us, vs = ends
     grad_w = 2.0 * grad_mat[us, vs] - 2.0 * _PENALTY * np.copysign(short, weights)
-    return f, grad_mat.diagonal(), grad_w
+    return f, grad_mat.diagonal() + pull * diag, grad_w + 2.0 * pull * weights
+
+
+def _lbfgs_direction(grad, pairs):
+    """-H grad by the L-BFGS two-loop recursion over the curvature pairs
+    (s, y, 1 / s.y), oldest first; -_FIRST_STEP * grad when there are none."""
+    if not pairs:
+        return -_FIRST_STEP * grad
+    q = grad.copy()
+    alphas = []
+    for s, y, rho in reversed(pairs):
+        alphas.append(rho * (s @ q))
+        q -= alphas[-1] * y
+    s, y, _ = pairs[-1]
+    q *= (s @ y) / (y @ y)
+    for (s, y, rho), alpha in zip(pairs, reversed(alphas)):
+        q += (alpha - rho * (y @ q)) * s
+    return -q
 
 
 def _descent(ends, diag, weights, target, iters):
-    """Gradient descent whose step grows on success and halves on failure; yields
-    the iterate every 25 steps while f < 1e-12, and the last iterate."""
-    step = 0.05
-    f, gd, gw = _objective(ends, diag, weights, target)
+    """L-BFGS (Liu & Nocedal, 1989) with an Armijo backtracking line search.
+
+    Yields (diag, weights, stalled): the iterate every 25 steps while
+    f < 1e-12, and the last iterate.  The restart ends early once f < 1e-24,
+    when no step above 1e-14 decreases f, or, with stalled True, when f has
+    not halved over the last _STALL_STEPS steps.
+    """
+    n = len(diag)
+
+    def evaluate(x):
+        f, gd, gw = _objective(ends, x[:n], x[n:], target)
+        return f, np.concatenate([gd, gw])
+
+    x = np.concatenate([diag, weights])
+    f, grad = evaluate(x)
+    pairs = deque(maxlen=_MEMORY)
+    f_mark, stalled = f, False
     for it in range(iters):
-        trial_d = diag - step * gd
-        trial_w = weights - step * gw
-        f2, gd2, gw2 = _objective(ends, trial_d, trial_w, target)
-        # strict improvement only: accepting f2 == f lets a step of 1.0
-        # oscillate between sign-flipped iterates forever
-        if math.isfinite(f2) and f2 < f:
-            diag, weights, f, gd, gw = trial_d, trial_w, f2, gd2, gw2
-            step = min(step * 1.2, 1.0)
-        else:
-            step *= 0.5
-            if step < 1e-14:
+        d = _lbfgs_direction(grad, pairs)
+        slope = float(d @ grad)
+        if not slope < 0.0:
+            d = -_FIRST_STEP * grad
+            slope = float(d @ grad)
+        for t in _LINE_STEPS:
+            f2, grad2 = evaluate(x + t * d)
+            # strict decrease as well: a step too small to move f must fail
+            if f2 < f and f2 <= f + _ARMIJO * t * slope:
                 break
+        else:
+            break
+        step, change = t * d, grad2 - grad
+        if step @ change > 0.0:
+            pairs.append((step, change, 1.0 / (step @ change)))
+        x, f, grad = x + step, f2, grad2
+        if f < 1e-24:
+            break
+        if (it + 1) % _STALL_STEPS == 0:
+            if f > 0.5 * f_mark:
+                stalled = True
+                break
+            f_mark = f
         if (it + 1) % 25 == 0 and f < 1e-12:
-            yield diag, weights
-    yield diag, weights
+            yield x[:n], x[n:], False
+    yield x[:n], x[n:], stalled
 
 
 def _certify_best(g: Graph, diag, weights, target):
@@ -283,11 +342,13 @@ def _certify_best(g: Graph, diag, weights, target):
 def maximize_nullity(g: Graph, target, budget=(50, 2000), seed=0):
     """Lower-bound search: drive the target smallest eigenvalues to zero.
 
-    Runs adaptive-step gradient descent on the sum of the target smallest
-    squared eigenvalues, with restart seeds seed, seed+1, ...; returns the
-    first certificate reaching the target, else NotAchieved with the best
-    certified k seen.  A certificate is numerical, not a proof (see
-    `certify` for what it checks); failure proves nothing.
+    Runs L-BFGS on the sum of the target smallest squared eigenvalues, with
+    a penalty that pushes every edge weight above a floor relative to the
+    matrix scale and a stop for restarts that stall, with restart seeds
+    seed, seed+1, ...; returns the first certificate reaching the target,
+    else NotAchieved with the best certified k seen.  A certificate is
+    numerical, not a proof (see `certify` for what it checks); failure
+    proves nothing.
     """
     if g.n > _OPT_CAP:
         raise UnsupportedSizeError(f"nullity optimization capped at n = {_OPT_CAP}")
@@ -296,18 +357,21 @@ def maximize_nullity(g: Graph, target, budget=(50, 2000), seed=0):
     restarts, iters = budget
     ends = edge_ends(g)
     m = len(g.edges)
-    best_k = left_pattern = 0
+    best_k = left_pattern = stalled = 0
     for r in range(restarts):
         rng = np.random.default_rng(seed + r)
         diag = rng.uniform(-1.0, 1.0, g.n)
         weights = rng.uniform(0.5, 1.5, m) * rng.choice([-1.0, 1.0], m)
-        for diag, weights in _descent(ends, diag, weights, target, iters):
+        for diag, weights, stall in _descent(ends, diag, weights, target, iters):
             k, cert = _certify_best(g, diag, weights, target)
             best_k = max(best_k, k)
             if k == target:
                 return cert
         left_pattern += bool(np.any(np.abs(weights) < EDGE_MIN))
-    return NotAchieved(target=target, best_k=best_k, restarts=restarts, left_pattern=left_pattern)
+        stalled += stall
+    return NotAchieved(
+        target=target, best_k=best_k, restarts=restarts, left_pattern=left_pattern, stalled=stalled
+    )
 
 
 # -- the degree-three family with forcing number 3 and nullity 2 -------------

@@ -53,8 +53,9 @@ def objective_gradient_errors(nprng, pool, points=100, h=1e-5):
     The target is drawn from 1..n.  A point is skipped where the objective is
     not smooth: two eigenvalues within 1e-3, or the target-th and
     (target+1)-th smallest |eigenvalues| within 1e-3.  Every second point has
-    one edge weight of magnitude in [2e-4, 8e-4], where the pattern penalty
-    is active.
+    one edge weight of magnitude in [2e-4, 8e-4], below the pattern floor
+    of 0.05 * max(1, ||A||_F), so both the penalty and the floor's
+    dependence on ||A||_F are checked.
     """
     errors = []
     while len(errors) < points:

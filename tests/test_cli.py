@@ -99,18 +99,19 @@ def test_nullity_not_achieved(capsys):
         "target": 2,
         "best_k": payload["best_k"],
         "left_pattern": payload["left_pattern"],
+        "stalled": payload["stalled"],
     }
 
 
 def test_nullity_counts_restarts_that_left_the_pattern(capsys):
-    # every figure-8 target-3 restart pushes one edge weight below EDGE_MIN,
-    # so nothing certifies and best_k stays 0
+    # the scale-relative floor keeps every figure-8 target-3 restart inside
+    # the pattern, where f cannot reach 0, so each one ends by the stall stop
     argv = ["nullity", "fig8:1,1,1,1,1", "--target", "3", "--budget", "2x2000", "--seed", "2024"]
     code, out, err = run_cli(capsys, *argv)
     assert code == 0
     payload = json.loads(out)
-    assert payload["best_k"] == 0 and payload["left_pattern"] == 2
-    assert "2 of 2 restarts" in err
+    assert payload["best_k"] == 0 and payload["left_pattern"] == 0 and payload["stalled"] == 2
+    assert "of 2 restarts, 0 ended with an edge weight below the pattern minimum and 2 stalled" in err
 
 
 def test_search_draw(capsys):
@@ -143,6 +144,13 @@ def test_verify_conflicting_sources(capsys):
     code, _, err = run_cli(capsys, "verify")
     assert code == 2
     assert "exactly one" in err
+
+
+@pytest.mark.parametrize("nmax", ["0", "-3"])
+def test_verify_rejects_nmax_below_one(capsys, nmax):
+    code, out, err = run_cli(capsys, "verify", "--nmax", nmax)
+    assert code == 2 and out == ""
+    assert "--nmax must be at least 1" in err
 
 
 def test_verify_corrupt_resume_file_is_io_error(capsys, tmp_path):

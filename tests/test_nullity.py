@@ -20,8 +20,8 @@ from zfpaths.graphs import (
 )
 from zfpaths.nullity import (
     _CLUSTER_REL,
+    _FLOOR_REL,
     _PENALTY,
-    EDGE_MIN,
     Classification,
     NotAchieved,
     NullityCertificate,
@@ -131,13 +131,20 @@ def _objective_by_loops(g, diag, weights, target):
         cl = next(c for c in clusters if i in c)
         f += vals[i] ** 2
         grad += 2 * vals[i] * sum(np.outer(vecs[:, j], vecs[:, j]) for j in cl) / len(cl)
+    grad_d = np.diag(grad).copy()
     grad_w = np.array([2 * grad[u, v] for u, v in g.edges])
-    for i, w in enumerate(weights):
-        short = EDGE_MIN - abs(w)
-        if short > 0:
-            f += _PENALTY * short**2
-            grad_w[i] -= 2 * _PENALTY * short * math.copysign(1.0, w)
-    return f, np.diag(grad), grad_w
+    shorts = [max(_FLOOR_REL * scale - abs(w), 0.0) for w in weights]
+    for i, (short, w) in enumerate(zip(shorts, weights)):
+        f += _PENALTY * short**2
+        grad_w[i] -= 2 * _PENALTY * short * math.copysign(1.0, w)
+    if scale > 1:
+        # the floor moves with scale = ||A||_F, whose derivative in entry a_ij is a_ij / scale
+        pull = 2 * _PENALTY * _FLOOR_REL * sum(shorts) / scale
+        for i in range(g.n):
+            grad_d[i] += pull * a[i, i]
+        for i, (u, v) in enumerate(g.edges):
+            grad_w[i] += pull * (a[u, v] + a[v, u])
+    return f, grad_d, grad_w
 
 
 def test_objective_matches_loop_reference():
