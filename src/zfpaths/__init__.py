@@ -21,13 +21,10 @@ from .chains import (
     unfavorite_vertices,
 )
 from .drawing import (
-    LadderDrawing,
     StandardDrawing,
     build_parallel_drawing,
     build_standard_drawing,
-    ladder_drawing,
     leftmost_set,
-    place_third,
     realize,
     render,
     search_drawing,

@@ -70,10 +70,20 @@ def resolve_graph(text) -> Graph:
 
 
 def _parse_budget(text):
-    m = re.match(r"^(\d+)x(\d+)$", text)
+    m = re.match(r"^([1-9]\d*)x([1-9]\d*)$", text)
     if not m:
-        raise UsageError(f"budget must look like 50x2000, got {text!r}")
+        raise UsageError(f"budget must look like 50x2000, both parts at least 1, got {text!r}")
     return int(m.group(1)), int(m.group(2))
+
+
+def _int_at_least(option, low):
+    def integer(text):
+        value = int(text)
+        if value < low:
+            raise UsageError(f"{option} must be at least {low}, got {value}")
+        return value
+
+    return integer
 
 
 def _parse_set(text):
@@ -202,8 +212,6 @@ def _cmd_search_draw(args):
 def _cmd_verify(args):
     if (args.nmax is None) == (args.corpus is None):
         raise UsageError("give exactly one of --nmax or --corpus")
-    if args.nmax is not None and args.nmax < 1:
-        raise UsageError(f"--nmax must be at least 1, got {args.nmax}")
     source = args.nmax if args.nmax is not None else args.corpus
     checks = tuple(args.checks.split(",")) if args.checks else harness.ALL_CHECKS
     report = harness.run_suite(
@@ -270,17 +278,17 @@ def build_parser():
     p.add_argument("input")
     p.add_argument("--target", type=int, required=True)
     p.add_argument("--budget", type=_parse_budget, default=(50, 2000))
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_int_at_least("--seed", 0), default=0)
     p = add("search-draw", _cmd_search_draw, help="exact search for a drawing with at most k rows")
     p.add_argument("input")
-    p.add_argument("--k", type=int, required=True)
+    p.add_argument("--k", type=_int_at_least("--k", 1), required=True)
     p = add("verify", _cmd_verify, help="batch theorem verification")
-    p.add_argument("--nmax", type=int, default=None)
+    p.add_argument("--nmax", type=_int_at_least("--nmax", 1), default=None)
     p.add_argument("--corpus", default=None)
     p.add_argument("--checks", default=None)
     p.add_argument("--resume", action="store_true")
     p.add_argument("--out", default=None)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_int_at_least("--seed", 0), default=0)
     p.add_argument("--budget", type=_parse_budget, default=(50, 2000))
     p = add("enumerate", _cmd_enumerate, help="connected subcubic graphs up to isomorphism")
     p.add_argument("--n", type=int, required=True)
@@ -290,11 +298,11 @@ def build_parser():
 def main(argv=None) -> int:
     parser = build_parser()
     try:
+        # argument type functions raise UsageError while parsing
         args = parser.parse_args(argv)
+        return args.handler(args)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
-    try:
-        return args.handler(args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2

@@ -8,8 +8,8 @@ segment passes through a third vertex.  All intersection tests use
 Fraction arithmetic; there is no tolerance anywhere.
 
 Coordinates come from one engine, `realize`, which either draws given rows
-or proves that no coordinates can: the three-row pipeline, `place_third`,
-drawings with one or two rows and the k-row search all call it.
+or proves that no coordinates can: the three-row pipeline, drawings with
+one or two rows and the k-row search all call it.
 """
 
 from __future__ import annotations
@@ -24,7 +24,6 @@ from .errors import (
     ContractError,
     DrawingConstructionError,
     InternalLogicError,
-    NotLadderDrawableError,
     UnsupportedInputError,
     UnsupportedSizeError,
 )
@@ -182,15 +181,12 @@ def leftmost_set(d: StandardDrawing):
 
 
 def check_parallel_properties(g: Graph, p1, p2, p3):
-    """Violations of the six structural conditions a chain triple must meet
-    before the two-row ladder can be extended by the third row."""
+    """Violations of the paper's conditions 3-6 on three non-trivial chains,
+    as (condition, witness) pairs: 3 inverting segment pairs, 4 inverting
+    segment triples, 5 split neighbors, 6 fan inversions."""
     index = OrderIndex(g, (p1, p2, p3))
     paths = index.seqs
     violations = []
-    if len(paths[0]) < 2 or len(paths[1]) < 2:
-        violations.append((1, "first two paths must each have two vertices"))
-    if len(paths[2]) == 1 and g.degree(paths[2][0]) > 2:
-        violations.append((2, f"singleton third path {paths[2][0]} has degree > 2"))
     for i, j in itertools.combinations(range(3), 2):
         violations.extend((3, w) for w in index.inverting_pairs(i, j))
     for i, j, k in itertools.permutations(range(3), 3):
@@ -202,114 +198,6 @@ def check_parallel_properties(g: Graph, p1, p2, p3):
             for x in paths[i]:
                 violations.extend((6, (x, *w)) for w in index.fan_inversions(x, j, k))
     return violations
-
-
-# -- ladder drawings ---------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class LadderDrawing:
-    host: Graph
-    top: tuple  # original top vertex sequence
-    bottom: tuple
-    top_slots: tuple  # tuples of 1 or 2 vertices, merged pairs kept in row order
-    bottom_slots: tuple
-    thick_vertices: tuple  # merged consecutive pairs
-    thick_edges: tuple  # (vertex, merged pair)
-    segments: tuple  # (top slot index, bottom slot index), left to right
-
-
-def _pair_property_check(index: OrderIndex):
-    """Properties 3 and 5 restricted to one chain pair; raise when violated."""
-    for u, v, u2, v2 in index.inverting_pairs(0, 1):
-        raise NotLadderDrawableError(
-            f"inverting segment pair {u}-{v}, {u2}-{v2}", violation=((u, v), (u2, v2))
-        )
-    for i, j in ((0, 1), (1, 0)):
-        for u in index.seqs[i]:
-            if index.split(u, j):
-                raise NotLadderDrawableError(
-                    f"vertex {u} has non-consecutive neighbors across the ladder",
-                    violation=(u,),
-                )
-
-
-def _merge_slots(index: OrderIndex, s):
-    """Slots of sequence s after gluing pairs that share a neighbor in the other."""
-    seq = index.seqs[s]
-    merged_at = {}
-    for u in index.seqs[1 - s]:
-        nbrs = [v for v in index.host.neighbors(u) if index.owner.get(v) == s]
-        # split neighbors were already refused by _pair_property_check
-        if len(nbrs) == 3:
-            raise NotLadderDrawableError(
-                f"vertex {u} has three neighbors across the ladder", violation=(u,)
-            )
-        if len(nbrs) == 2:
-            i, j = sorted(index.pos[v] for v in nbrs)
-            if i in merged_at:
-                raise NotLadderDrawableError(
-                    f"vertices {seq[i]},{seq[j]} claimed by two thick merges",
-                    violation=(seq[i], seq[j]),
-                )
-            merged_at[i] = (seq[i], seq[j], u)
-    slots = []
-    thick_pairs = []
-    thick_edges = []
-    i = 0
-    while i < len(seq):
-        if i in merged_at:
-            v1, v2, u = merged_at[i]
-            if i + 1 in merged_at:
-                raise NotLadderDrawableError(
-                    f"overlapping thick merges at {v1},{v2}", violation=(v1, v2)
-                )
-            slots.append((v1, v2))
-            thick_pairs.append((v1, v2))
-            thick_edges.append((u, (v1, v2)))
-            i += 2
-        else:
-            slots.append((seq[i],))
-            i += 1
-    return slots, thick_pairs, thick_edges
-
-
-def ladder_drawing(g: Graph, r1, r2) -> LadderDrawing:
-    """The ladder of a chain pair: slots, thick merges of shared neighbor pairs
-    and vertical segments, as in the paper's Figure 6.  It carries no
-    coordinates; `place_third` draws it with a third row through `realize`."""
-    t, b = tuple(r1), tuple(r2)
-    if set(t) & set(b):
-        raise ContractError("ladder chains must be vertex disjoint")
-    if not is_induced_path(g, t) or not is_induced_path(g, b):
-        raise ContractError("ladder chains must be induced paths")
-    index = OrderIndex(g, (t, b))
-    _pair_property_check(index)
-    bottom_slots, thick_b, edges_b = _merge_slots(index, 1)
-    top_slots, thick_t, edges_t = _merge_slots(index, 0)
-    slot_of = {}
-    for i, s in enumerate(top_slots):
-        for v in s:
-            slot_of[v] = (0, i)
-    for i, s in enumerate(bottom_slots):
-        for v in s:
-            slot_of[v] = (1, i)
-    segments = sorted({(slot_of[u][1], slot_of[v][1]) for u, v in index.cross[0, 1]})
-    for (t1, b1), (t2, b2) in itertools.combinations(segments, 2):
-        if t1 == t2 or b1 == b2:
-            raise InternalLogicError("slot carries two distinct ladder segments")
-        if (t1 < t2) != (b1 < b2):
-            raise InternalLogicError("ladder segments invert despite property check")
-    return LadderDrawing(
-        host=g,
-        top=t,
-        bottom=b,
-        top_slots=tuple(top_slots),
-        bottom_slots=tuple(bottom_slots),
-        thick_vertices=tuple(thick_t + thick_b),
-        thick_edges=tuple(edges_t + edges_b),
-        segments=tuple(segments),
-    )
 
 
 # -- the exact realizer --------------------------------------------------------
@@ -492,22 +380,6 @@ def _integer_grid(d: StandardDrawing) -> StandardDrawing:
     return StandardDrawing(
         rows=d.rows, x={v: Fraction(val // step) for v, val in ints.items()}, host=d.host
     )
-
-
-def place_third(g: Graph, ladder: LadderDrawing, r3) -> StandardDrawing:
-    """Extend a ladder drawing by the third chain as the new top row."""
-    seq = tuple(r3)
-    if len(seq) == 1:
-        deg_into = sum(1 for w in g.neighbors(seq[0]) if w in set(ladder.top) | set(ladder.bottom))
-        if deg_into > 2:
-            raise ContractError(
-                f"singleton third chain {seq[0]} has {deg_into} ladder neighbors (max 2)"
-            )
-    else:
-        violations = check_parallel_properties(g, ladder.top, ladder.bottom, seq)
-        if violations:
-            raise ContractError(f"parallel-path properties violated: {violations[:3]}")
-    return _draw(g, (seq, ladder.top, ladder.bottom))
 
 
 def _draw(g: Graph, rows) -> StandardDrawing:

@@ -47,14 +47,6 @@ class InternalLogicError(ZfError):
     """A condition the underlying theory rules out was observed; signals a bug."""
 
 
-class NotLadderDrawableError(ZfError):
-    """Chain pair violates the ladder-drawing prerequisites."""
-
-    def __init__(self, message, violation=None):
-        super().__init__(message)
-        self.violation = violation
-
-
 class DrawingConstructionError(ZfError):
     """The rows a construction chose have no drawing: no x coordinates verify."""
 

@@ -20,7 +20,6 @@ from zfpaths.drawing import (
     StandardDrawing,
     build_parallel_drawing,
     build_standard_drawing,
-    ladder_drawing,
     leftmost_set,
     realize,
     verify_drawing,
@@ -222,8 +221,6 @@ def test_criterion_7_figure_fidelity():
              (7, 8), (8, 9), (9, 10), (10, 11), (11, 12),
              (0, 9), (0, 10), (12, 4), (12, 5), (11, 1), (13, 8), (13, 2), (13, 3)],
         )
-        lad = ladder_drawing(thick_ladder, tuple(range(7)), tuple(range(7, 13)))
-        assert set(lad.thick_vertices) == {(4, 5), (9, 10)}
-        d67 = realize(thick_ladder, ((13,), lad.top, lad.bottom))
+        d67 = realize(thick_ladder, ((13,), tuple(range(7)), tuple(range(7, 13))))
         assert verify_drawing(thick_ladder, d67).ok
         assert d67.x[4] != d67.x[5] and d67.x[9] != d67.x[10]

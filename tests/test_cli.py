@@ -153,6 +153,24 @@ def test_verify_rejects_nmax_below_one(capsys, nmax):
     assert "--nmax must be at least 1" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("nullity", "K4", "--target", "3", "--seed", "-1"),
+        ("verify", "--nmax", "3", "--seed", "-100000"),
+        ("search-draw", "K4", "--k", "0"),
+        ("search-draw", "K4", "--k", "-1"),
+        ("nullity", "K4", "--target", "3", "--budget", "0x10"),
+        ("nullity", "K4", "--target", "3", "--budget", "1x0"),
+        ("verify", "--nmax", "3", "--budget", "50"),
+    ],
+)
+def test_out_of_range_arguments_are_usage_errors(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("usage error:") and "at least" in err
+
+
 def test_verify_corrupt_resume_file_is_io_error(capsys, tmp_path):
     out = tmp_path / "r.jsonl"
     out.write_text("this is not json\n")

@@ -12,9 +12,7 @@ from zfpaths.drawing import (
     check_parallel_properties,
     drawing_from_json_obj,
     drawing_to_json_obj,
-    ladder_drawing,
     leftmost_set,
-    place_third,
     realize,
     render,
     search_drawing,
@@ -22,7 +20,6 @@ from zfpaths.drawing import (
 )
 from zfpaths.errors import (
     ContractError,
-    NotLadderDrawableError,
     UnsupportedInputError,
     UnsupportedSizeError,
 )
@@ -103,79 +100,6 @@ def test_verify_catches_vertex_on_segment():
     assert any("passes through" in v for v in report.violations)
 
 
-# -- ladder drawings ---------------------------------------------------------
-
-
-def test_ladder_plain_c4():
-    g = Graph(4, [(0, 1), (2, 3), (0, 2), (1, 3)])
-    lad = ladder_drawing(g, (0, 1), (2, 3))
-    assert lad.segments == ((0, 0), (1, 1))
-    assert lad.thick_vertices == ()
-
-
-def test_ladder_thick_merge():
-    # u=0 on top has consecutive bottom neighbors 3,4
-    g = Graph(6, [(0, 1), (2, 3), (3, 4), (4, 5), (0, 3), (0, 4)])
-    lad = ladder_drawing(g, (0, 1), (2, 3, 4, 5))
-    assert lad.thick_vertices == ((3, 4),)
-    assert lad.thick_edges == ((0, (3, 4)),)
-    assert len(lad.segments) == 1
-
-
-def test_ladder_no_cross_edges():
-    g = Graph(4, [(0, 1), (2, 3)])
-    lad = ladder_drawing(g, (0, 1), (2, 3))
-    assert lad.segments == ()
-
-
-def test_ladder_rejects_inverting_pair():
-    # segments 0-3 and 1-2 invert between the rows
-    g = Graph(4, [(0, 1), (2, 3), (0, 3), (1, 2)])
-    with pytest.raises(NotLadderDrawableError) as exc:
-        ladder_drawing(g, (0, 1), (2, 3))
-    assert exc.value.violation is not None
-
-
-def test_ladder_rejects_nonconsecutive_neighbors():
-    g = Graph(5, [(0, 1), (2, 3), (3, 4), (0, 2), (0, 4)])
-    with pytest.raises(NotLadderDrawableError):
-        ladder_drawing(g, (0, 1), (2, 3, 4))
-
-
-def test_ladder_rejects_three_neighbors_across():
-    # 3 meets all of the path 0-1-2; a ladder has one slot for it, not three
-    g = Graph(4, [(0, 1), (1, 2), (0, 3), (1, 3), (2, 3)])
-    with pytest.raises(NotLadderDrawableError) as exc:
-        ladder_drawing(g, (0, 1, 2), (3,))
-    assert exc.value.violation == (3,)
-
-
-# -- placing the third row ------------------------------------------------------
-
-
-def test_place_third_lone_vertex_in_section():
-    # z = 4 has both neighbors inside the single inner section
-    g = Graph(5, [(0, 1), (2, 3), (0, 2), (1, 3), (4, 0), (4, 1)])
-    lad = ladder_drawing(g, (0, 1), (2, 3))
-    d = place_third(g, lad, (4,))
-    assert d.rows == ((4,), (0, 1), (2, 3))
-    assert verify_drawing(g, d).ok
-
-
-def test_place_third_rejects_high_degree_singleton():
-    g = Graph(5, [(0, 1), (2, 3), (0, 2), (1, 3), (4, 0), (4, 1), (4, 3)])
-    lad = ladder_drawing(g, (0, 1), (2, 3))
-    with pytest.raises(ContractError):
-        place_third(g, lad, (4,))
-
-
-def test_place_third_disconnected_row():
-    g = Graph(6, [(0, 1), (2, 3), (0, 2), (1, 3), (4, 5)])
-    lad = ladder_drawing(g, (0, 1), (2, 3))
-    d = place_third(g, lad, (4, 5))
-    assert verify_drawing(g, d).ok
-
-
 def test_parallel_property_scan_flags_violation():
     g = Graph(6, [(0, 1), (2, 3), (0, 3), (1, 2), (4, 5)])
     violations = check_parallel_properties(g, (0, 1), (2, 3), (4, 5))
@@ -225,12 +149,11 @@ def test_standard_drawing_ladder_pair(g, rows):
     assert build_standard_drawing(g).rows == rows
 
 
-def test_place_third_draws_pipeline_row_order():
+def test_realize_draws_pipeline_row_order():
     # the pipeline's row order for this graph, on which a greedy left-to-right
     # placement of the top row finds no position for vertex 3
     g = parse_graph6("KaGS?O@s?H@o")
-    lad = ladder_drawing(g, (0, 6, 11, 4, 2), (1, 9))
-    d = place_third(g, lad, (3, 5, 10, 8, 7))
+    d = realize(g, ((3, 5, 10, 8, 7), (0, 6, 11, 4, 2), (1, 9)))
     assert d.rows == ((3, 5, 10, 8, 7), (0, 6, 11, 4, 2), (1, 9))
     assert verify_drawing(g, d).ok
     assert is_forcing_set(g, leftmost_set(d))
@@ -246,13 +169,34 @@ def test_realize_returns_none_without_a_drawing():
     assert realize(g, ((0, 1), (2,))) is None
 
 
+@pytest.mark.parametrize(
+    "g, rows",
+    [
+        # 3 meets all of the path 0-1-2: a fan, not one slot of a ladder
+        (Graph(4, [(0, 1), (1, 2), (0, 3), (1, 3), (2, 3)]), ((0, 1, 2), (3,))),
+        # 0 has non-consecutive neighbors 2 and 4 across
+        (Graph(5, [(0, 1), (2, 3), (3, 4), (0, 2), (0, 4)]), ((0, 1), (2, 3, 4))),
+        # a singleton third row with three neighbors in the two rows below
+        (
+            Graph(5, [(0, 1), (2, 3), (0, 2), (1, 3), (4, 0), (4, 1), (4, 3)]),
+            ((4,), (0, 1), (2, 3)),
+        ),
+        # a lone vertex with both neighbors inside the single inner section
+        (Graph(5, [(0, 1), (2, 3), (0, 2), (1, 3), (4, 0), (4, 1)]), ((4,), (0, 1), (2, 3))),
+        # a third row with no edge to the other two
+        (Graph(6, [(0, 1), (2, 3), (0, 2), (1, 3), (4, 5)]), ((4, 5), (0, 1), (2, 3))),
+    ],
+)
+def test_realize_draws_rows_the_ladder_refused(g, rows):
+    # a ladder of the paper's Figure 6 (one slot per vertex or merged pair of
+    # one row, vertical segments to the other) has no place for these rows;
+    # realize draws each with exactly these rows
+    d = realize(g, rows)
+    assert d is not None and d.rows == rows
+    assert verify_drawing(g, d).ok
+
+
 # -- figure 6 / figure 7 construction ---------------------------------------------
-
-
-def test_thick_ladder_ladder_has_both_thick_merges():
-    lad = ladder_drawing(THICK_LADDER, tuple(range(7)), tuple(range(7, 13)))
-    assert set(lad.thick_vertices) == {(4, 5), (9, 10)}
-    assert set(lad.thick_edges) == {(12, (4, 5)), (0, (9, 10))}
 
 
 def test_thick_ladder_chain_set_matches_figure():
@@ -263,9 +207,8 @@ def test_thick_ladder_chain_set_matches_figure():
 
 
 def test_thick_ladder_thick_split_drawing_verifies():
-    # place_third would refuse 13's three ladder edges
-    lad = ladder_drawing(THICK_LADDER, tuple(range(7)), tuple(range(7, 13)))
-    d = realize(THICK_LADDER, ((13,), lad.top, lad.bottom))
+    # 13 has three edges into the two rows below
+    d = realize(THICK_LADDER, ((13,), tuple(range(7)), tuple(range(7, 13))))
     assert d.rows == ((13,), tuple(range(7)), tuple(range(7, 13)))
     assert verify_drawing(THICK_LADDER, d).ok
     # the thick pairs end up split into distinct coordinates
