@@ -8,9 +8,10 @@ sorted by head; positions and owners are looked up in its `OrderIndex`.
 Two kinds of defect can block a parallel-path drawing: a vertex with two
 non-consecutive neighbors in another non-trivial chain ("bad"), and a
 vertex whose two cross neighbors are witnessed by an inverting segment
-between the other two chains ("unfavorite").  The repair rewrites move
-the offending head into the witnessing chain, strictly shrinking the
-defect count each round.
+between the other two chains ("unfavorite").  One scan per defect finds
+each such vertex with its witness, the chain and neighbor that the repair
+rewrite moves the offending head onto; each round strictly shrinks the
+defect count.  No other module checks these conditions.
 """
 
 from __future__ import annotations
@@ -220,43 +221,56 @@ def sequentially_realizable(cs: ChainSet):
 # -- defect detectors -------------------------------------------------------
 
 
-def _heads_only(cs: ChainSet, result, kind):
+def _heads_only(cs: ChainSet, found, kind):
     if cs.host.max_degree() <= 3:
-        for v in result:
+        for v in found:
             if cs.index.pos[v] != 0:
                 raise InternalLogicError(
                     f"{kind} vertex {v} is not the head of its chain (degree cap 3)"
                 )
-    return frozenset(result)
+    return found
+
+
+def _bad(cs: ChainSet):
+    """{bad vertex: (j, a)}: a is the first of its two non-consecutive
+    neighbors in chain j, the lowest such non-trivial chain."""
+    index = cs.index
+    found = {}
+    for i, j in itertools.permutations(cs.nontrivial(), 2):
+        for v in index.seqs[i]:
+            if v not in found:
+                ps = index.split(v, j)
+                if ps:
+                    found[v] = (j, index.seqs[j][ps[0]])
+    return _heads_only(cs, found, "bad")
+
+
+def _unfavorite(cs: ChainSet):
+    """{unfavorite vertex: (j, a)}: a is its neighbor in chain j in the first
+    fan inversion found, over chain pairs (j, k) in lexicographic order."""
+    index = cs.index
+    nontrivial = cs.nontrivial()
+    found = {}
+    for i in nontrivial:
+        for j, k in itertools.permutations([c for c in nontrivial if c != i], 2):
+            for x in index.seqs[i]:
+                if x not in found:
+                    fan = next(index.fan_inversions(x, j, k), None)
+                    if fan:
+                        found[x] = (j, fan[0])
+    return _heads_only(cs, found, "unfavorite")
 
 
 def bad_vertices(cs: ChainSet):
     """Vertices of a non-trivial chain with two non-consecutive neighbors in
     another non-trivial chain."""
-    index = cs.index
-    nontrivial = cs.nontrivial()
-    result = {
-        v
-        for i, j in itertools.permutations(nontrivial, 2)
-        for v in index.seqs[i]
-        if index.split(v, j)
-    }
-    return _heads_only(cs, result, "bad")
+    return frozenset(_bad(cs))
 
 
 def unfavorite_vertices(cs: ChainSet):
     """Vertices with cross neighbors in two other non-trivial chains witnessed
     by a later/earlier segment between those chains."""
-    index = cs.index
-    nontrivial = cs.nontrivial()
-    result = {
-        x
-        for i in nontrivial
-        for j, k in itertools.permutations([c for c in nontrivial if c != i], 2)
-        for x in index.seqs[i]
-        if next(index.fan_inversions(x, j, k), None)
-    }
-    return _heads_only(cs, result, "unfavorite")
+    return frozenset(_unfavorite(cs))
 
 
 # -- repair rewrites --------------------------------------------------------
@@ -288,16 +302,6 @@ def _head_rewrite(cs: ChainSet, x, j, a):
     return _rebuild(cs.host, rest + [r2[pa + 1 :], r2[: pa + 1] + r1])
 
 
-def _bad_witness(cs: ChainSet, x):
-    """The chain index and earlier neighbor witnessing that x is bad."""
-    i = cs.index.owner[x]
-    for j in cs.nontrivial():
-        positions = cs.index.split(x, j) if j != i else []
-        if positions:
-            return j, cs.chains[j][positions[0]]
-    raise InternalLogicError(f"no bad witness found for {x}")
-
-
 def eliminate_bad(cs: ChainSet) -> ChainSet:
     """A chain set for a same-size forcing set with no bad vertex.
 
@@ -309,29 +313,28 @@ def eliminate_bad(cs: ChainSet) -> ChainSet:
         raise UnsupportedInputError("bad-vertex repair needs maximum degree <= 3")
     if len(cs.origin) != 3:
         raise UnsupportedInputError("bad-vertex repair is proved only for three chains")
-    current = cs
-    while True:
-        bad = bad_vertices(current)
-        if not bad:
-            return current
+    current, bad = cs, _bad(cs)
+    while bad:
         x = min(bad)
-        j, a = _bad_witness(current, x)
+        j, a = bad[x]
         third = [c for k, c in enumerate(current.chains) if k not in (current.index.owner[x], j)]
         rewritten = _head_rewrite(current, x, j, a)
-        if len(bad_vertices(rewritten)) < len(bad):
-            current = rewritten
+        after = _bad(rewritten)
+        if len(after) < len(bad):
+            current, bad = rewritten, after
             continue
         # Second stage: the rewrite made the remaining head bad; move it too.
         if len(third) != 1 or len(third[0]) == 1:
             raise InternalLogicError("bad count failed to drop with no third head to move")
         z = third[0][0]
-        if z not in bad_vertices(rewritten):
+        if z not in after:
             raise InternalLogicError("bad count failed to drop yet third head is not bad")
-        jz, a2 = _bad_witness(rewritten, z)
-        second = _head_rewrite(rewritten, z, jz, a2)
-        if len(bad_vertices(second)) >= len(bad):
+        second = _head_rewrite(rewritten, z, *after[z])
+        after = _bad(second)
+        if len(after) >= len(bad):
             raise InternalLogicError("two-stage rewrite did not decrease the bad count")
-        current = second
+        current, bad = second, after
+    return current
 
 
 def eliminate_unfavorite(cs: ChainSet) -> ChainSet:
@@ -340,32 +343,19 @@ def eliminate_unfavorite(cs: ChainSet) -> ChainSet:
         raise UnsupportedInputError("unfavorite repair needs maximum degree <= 3")
     if len(cs.origin) != 3:
         raise UnsupportedInputError("unfavorite repair is proved only for three chains")
-    if bad_vertices(cs):
+    if _bad(cs):
         raise ContractError("unfavorite repair requires a chain set with no bad vertex")
-    current = cs
-    while True:
-        unfav = unfavorite_vertices(current)
-        if not unfav:
-            return current
+    current, unfav = cs, _unfavorite(cs)
+    while unfav:
         x = min(unfav)
-        i = current.index.owner[x]
-        others = [j for j in current.nontrivial() if j != i]
-        witness = next(
-            (
-                (j, fan[0])
-                for j, k in itertools.permutations(others, 2)
-                for fan in current.index.fan_inversions(x, j, k)
-            ),
-            None,
-        )
-        if witness is None:
-            raise InternalLogicError(f"no unfavorite witness found for {x}")
-        rewritten = _head_rewrite(current, x, witness[0], witness[1])
-        if bad_vertices(rewritten):
+        rewritten = _head_rewrite(current, x, *unfav[x])
+        if _bad(rewritten):
             raise InternalLogicError("unfavorite rewrite introduced a bad vertex")
-        if len(unfavorite_vertices(rewritten)) >= len(unfav):
+        after = _unfavorite(rewritten)
+        if len(after) >= len(unfav):
             raise InternalLogicError("unfavorite rewrite did not decrease the count")
-        current = rewritten
+        current, unfav = rewritten, after
+    return current
 
 
 # -- order lemmas -----------------------------------------------------------
@@ -405,7 +395,8 @@ def check_order_lemmas(cs: ChainSet) -> OrderLemmaReport:
                     if step.get(z, 10**9) >= step.get(y, -1):
                         violations.append(("earlier_cross_neighbor", (x, y, z)))
     count = len(cs.chains)
-    for i, j in itertools.permutations(range(count), 2):
+    # the (j, i) scan finds the (i, j) inversions again, mirrored
+    for i, j in itertools.combinations(range(count), 2):
         violations.extend(("no_inverting_pair", w) for w in index.inverting_pairs(i, j))
     for i, j, k in itertools.permutations(range(count), 3):
         violations.extend(("no_inverting_triple", w) for w in index.inverting_triples(i, j, k))

@@ -212,8 +212,10 @@ def _cmd_search_draw(args):
 def _cmd_verify(args):
     if (args.nmax is None) == (args.corpus is None):
         raise UsageError("give exactly one of --nmax or --corpus")
+    if args.resume and not args.out:
+        raise UsageError("--resume needs --out, the records file to resume from")
     source = args.nmax if args.nmax is not None else args.corpus
-    checks = tuple(args.checks.split(",")) if args.checks else harness.ALL_CHECKS
+    checks = tuple(args.checks.split(",")) if args.checks is not None else harness.ALL_CHECKS
     report = harness.run_suite(
         source,
         checks=checks,

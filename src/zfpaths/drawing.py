@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import ceil, floor, gcd, lcm
 
-from .chains import OrderIndex, chains_for, eliminate_bad, eliminate_unfavorite
+from .chains import chains_for, eliminate_bad, eliminate_unfavorite
 from .errors import (
     ContractError,
     DrawingConstructionError,
@@ -175,29 +175,6 @@ def verify_drawing(g: Graph, d: StandardDrawing) -> DrawingReport:
 def leftmost_set(d: StandardDrawing):
     """The minimum-x vertex of each row."""
     return frozenset(min(row, key=lambda v: d.x[v]) for row in d.rows if row)
-
-
-# -- parallel-path property checks ------------------------------------------
-
-
-def check_parallel_properties(g: Graph, p1, p2, p3):
-    """Violations of the paper's conditions 3-6 on three non-trivial chains,
-    as (condition, witness) pairs: 3 inverting segment pairs, 4 inverting
-    segment triples, 5 split neighbors, 6 fan inversions."""
-    index = OrderIndex(g, (p1, p2, p3))
-    paths = index.seqs
-    violations = []
-    for i, j in itertools.combinations(range(3), 2):
-        violations.extend((3, w) for w in index.inverting_pairs(i, j))
-    for i, j, k in itertools.permutations(range(3), 3):
-        violations.extend((4, w) for w in index.inverting_triples(i, j, k))
-    for i, j in itertools.permutations(range(3), 2):
-        violations.extend((5, (u, j)) for u in paths[i] if index.split(u, j))
-    for i, j, k in itertools.permutations(range(3), 3):
-        if j < k:
-            for x in paths[i]:
-                violations.extend((6, (x, *w)) for w in index.fan_inversions(x, j, k))
-    return violations
 
 
 # -- the exact realizer --------------------------------------------------------
@@ -398,8 +375,10 @@ def build_standard_drawing(g: Graph) -> StandardDrawing:
     Pipeline: minimum forcing set, chain extraction, both repairs, then one
     row order for every chain shape: the third chain on top of the ladder
     pair (the two chains with the fewest trivial members, then the most
-    cross edges), drawn by `realize`.  DrawingConstructionError means that
-    row order has no drawing at all.
+    cross edges), drawn by `realize`.  The chains are not prechecked: the
+    repairs exit with no bad or unfavorite vertex, and rows with an
+    inverting segment pair or triple have no drawing.  DrawingConstructionError
+    means that row order has no drawing at all.
     """
     if g.max_degree() > 3:
         raise UnsupportedInputError("standard drawings need maximum degree <= 3")
@@ -410,15 +389,8 @@ def build_standard_drawing(g: Graph) -> StandardDrawing:
     cs = eliminate_bad(cs)
     cs = eliminate_unfavorite(cs)
     i, j = _ladder_pair(cs)
-    p1, p2 = cs.chains[i], cs.chains[j]
-    p3 = next(c for k, c in enumerate(cs.chains) if k not in (i, j))
-    if not cs.trivial_count():
-        violations = check_parallel_properties(g, p1, p2, p3)
-        if violations:
-            raise InternalLogicError(
-                f"repaired chains violate parallel-path properties: {violations[:3]}"
-            )
-    return _draw(g, (p3, p1, p2))
+    third = next(c for k, c in enumerate(cs.chains) if k not in (i, j))
+    return _draw(g, (third, cs.chains[i], cs.chains[j]))
 
 
 def _ladder_pair(cs):

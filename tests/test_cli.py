@@ -171,6 +171,20 @@ def test_out_of_range_arguments_are_usage_errors(capsys, argv):
     assert err.startswith("usage error:") and "at least" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("verify", "--nmax", "3", "--resume"),
+        ("verify", "--nmax", "3", "--checks", ""),
+    ],
+)
+def test_verify_rejects_argument_it_would_ignore(capsys, argv):
+    # --resume without --out would recompute everything; an empty --checks
+    # would run every check
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+
+
 def test_verify_corrupt_resume_file_is_io_error(capsys, tmp_path):
     out = tmp_path / "r.jsonl"
     out.write_text("this is not json\n")

@@ -9,7 +9,6 @@ from zfpaths.drawing import (
     _row_structures,
     build_parallel_drawing,
     build_standard_drawing,
-    check_parallel_properties,
     drawing_from_json_obj,
     drawing_to_json_obj,
     leftmost_set,
@@ -98,19 +97,6 @@ def test_verify_catches_vertex_on_segment():
     )
     report = verify_drawing(g, d)
     assert any("passes through" in v for v in report.violations)
-
-
-def test_parallel_property_scan_flags_violation():
-    g = Graph(6, [(0, 1), (2, 3), (0, 3), (1, 2), (4, 5)])
-    violations = check_parallel_properties(g, (0, 1), (2, 3), (4, 5))
-    assert any(num == 3 for num, _ in violations)
-    # 0-3 then 2-5 then 1-4: the third segment inverts against the first two
-    g = Graph(6, [(0, 1), (2, 3), (4, 5), (0, 3), (2, 5), (1, 4)])
-    violations = check_parallel_properties(g, (0, 1), (2, 3), (4, 5))
-    assert (4, (0, 3, 2, 5, 1, 4)) in violations
-    # 0 meets the third path at positions 0 and 2
-    g = Graph(7, [(0, 1), (2, 3), (4, 5), (5, 6), (0, 4), (0, 6)])
-    assert check_parallel_properties(g, (0, 1), (2, 3), (4, 5, 6)) == [(5, (0, 2))]
 
 
 # F = 3 graphs with row orders, the pipeline's among them, that a greedy
