@@ -240,6 +240,15 @@ def _cmd_verify(args):
     return 0 if report.ok else 1
 
 
+def _cmd_diff(args):
+    first, second = (harness.read_records(path)[0] for path in (args.first, args.second))
+    lines = harness.diff_records(first, second)
+    payload = {"first": args.first, "second": args.second, "records": [len(first), len(second)]}
+    print(json.dumps({**payload, "same": not lines, "differences": lines}))
+    print(f"{len(lines)} differences between the records", file=sys.stderr)
+    return 1 if lines else 0
+
+
 def _cmd_enumerate(args):
     graphs = enumerate_connected_subcubic(args.n)
     payload = {"n": args.n, "count": len(graphs), "graphs": [encode_graph6(g) for g in graphs]}
@@ -292,6 +301,9 @@ def build_parser():
     p.add_argument("--out", default=None)
     p.add_argument("--seed", type=_int_at_least("--seed", 0), default=0)
     p.add_argument("--budget", type=_parse_budget, default=(50, 2000))
+    p = add("diff", _cmd_diff, help="compare two verify --out record files, timings aside")
+    p.add_argument("first")
+    p.add_argument("second")
     p = add("enumerate", _cmd_enumerate, help="connected subcubic graphs up to isomorphism")
     p.add_argument("--n", type=int, required=True)
     return parser

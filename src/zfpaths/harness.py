@@ -72,31 +72,42 @@ def _builtin_corpus(n_max):
     return graphs
 
 
-def _load_done(path):
-    """Records of an earlier run, keyed by graph.
+def read_records(path):
+    """Records of a JSONL records file keyed by graph, and the byte length of
+    its whole lines; the file is only read.
 
-    A last line without its newline was torn by a run killed mid-write: it
-    is dropped and cut from the file, so that appended records start on a
-    line of their own.  Any other line that does not parse raises OSError.
+    A last line without its newline was torn by a run killed mid-write and
+    is left out.  Any other line that does not parse raises OSError.
     """
-    done = {}
-    if not (path and os.path.exists(path)):
-        return done
     with open(path, "rb") as fh:
         lines = fh.readlines()
     if lines and not lines[-1].endswith(b"\n"):
-        with open(path, "r+b") as fh:
-            fh.truncate(sum(len(line) for line in lines[:-1]))
         lines.pop()
+    records = {}
     for lineno, line in enumerate(lines, 1):
         line = line.strip()
         if not line:
             continue
         try:
             rec = json.loads(line)
-            done[rec["graph"]] = rec
-        except (ValueError, KeyError) as exc:
-            raise OSError(f"corrupt resume file {path}, line {lineno}: {exc}") from exc
+            records[rec["graph"]] = rec
+        except (ValueError, KeyError, TypeError) as exc:
+            raise OSError(f"corrupt records file {path}, line {lineno}: {exc}") from exc
+    return records, sum(map(len, lines))
+
+
+def _load_done(path):
+    """Records of an earlier run, keyed by graph (see `read_records`).
+
+    A torn last line is cut from the file, so that appended records start on
+    a line of their own.
+    """
+    if not (path and os.path.exists(path)):
+        return {}
+    done, whole = read_records(path)
+    if os.path.getsize(path) > whole:
+        with open(path, "r+b") as fh:
+            fh.truncate(whole)
     return done
 
 
@@ -272,19 +283,25 @@ def _run_checks(g: Graph, key, rec, checks, seed, nullity_budget):
 
 
 def diff_reports(a: SuiteReport, b: SuiteReport) -> str:
-    """Field-level differences between two runs of the same corpus.
-
-    Timings are ignored: they never reproduce, and determinism claims are
-    about everything else.
-    """
+    """Field-level differences between two runs of the same corpus (see
+    `diff_records`), one per line."""
     if a.corpus_id != b.corpus_id:
         raise UnsupportedInputError(
             f"corpus mismatch: {a.corpus_id} vs {b.corpus_id}"
         )
+    return "\n".join(diff_records(a.records, b.records))
+
+
+def diff_records(a: dict, b: dict) -> list:
+    """Field-level differences between two record sets keyed by graph.
+
+    Timings are ignored: they never reproduce, and determinism claims are
+    about everything else.
+    """
     lines = []
-    for key in sorted(set(a.records) | set(b.records)):
-        ra = a.records.get(key)
-        rb = b.records.get(key)
+    for key in sorted(set(a) | set(b)):
+        ra = a.get(key)
+        rb = b.get(key)
         if ra is None or rb is None:
             lines.append(f"{key}: present only in {'second' if ra is None else 'first'} run")
             continue
@@ -294,4 +311,4 @@ def diff_reports(a: SuiteReport, b: SuiteReport) -> str:
             va, vb = ra.get(fieldname), rb.get(fieldname)
             if va != vb:
                 lines.append(f"{key} {fieldname}: {va!r} != {vb!r}")
-    return "\n".join(lines)
+    return lines

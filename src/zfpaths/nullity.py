@@ -4,11 +4,13 @@ A pattern matrix for a graph has arbitrary diagonal, nonzero entries on
 edges, and exact zeros elsewhere.  The maximum nullity over such matrices
 is bounded above by the forcing number; numerical lower bounds are produced
 here by driving the smallest eigenvalues to zero with L-BFGS and certifying
-the result.  A penalty pushes every edge weight above a floor relative to the
-matrix scale, away from near-boundary matrices that the float certificate
-cannot tell from pattern matrices, and a restart ends once its objective
-stalls.  Certificates are checked with an in-house Jacobi eigensolver,
-independent of the LAPACK path used inside the optimizer.
+the last iterate of each restart.  A penalty pushes every edge weight above a
+floor relative to the matrix scale, away from near-boundary matrices that the
+float certificate cannot tell from pattern matrices.  A restart ends once its
+objective falls below TOL_ZERO**2, where every target eigenvalue lies under
+the certificate's zero threshold, or once it stalls.  Certificates are checked
+with an in-house Jacobi eigensolver, independent of the LAPACK path used
+inside the optimizer.
 """
 
 from __future__ import annotations
@@ -101,7 +103,8 @@ def jacobi_eigenvalues(a):
 
     Sweeps rotate away every off-diagonal pair until the off-diagonal norm
     drops below 1e-12 times the Frobenius norm; more than 100 sweeps is a
-    convergence failure.
+    convergence failure.  The matrix is worked as rows of Python floats: a
+    rotation rewrites two columns, then two rows, entry by entry.
     """
     a = np.array(a, dtype=float)
     if not np.all(np.isfinite(a)):
@@ -111,39 +114,35 @@ def jacobi_eigenvalues(a):
     if norm == 0.0:
         return np.zeros(n)
     threshold = _JACOBI_TOL * norm
-
-    def offdiag(m):
+    a = a.tolist()
+    for _ in range(_JACOBI_SWEEPS):
         # summing the off-diagonal squares directly avoids the catastrophic
         # cancellation of ||M||_F^2 - ||diag||^2 near convergence
-        hollow = m.copy()
-        np.fill_diagonal(hollow, 0.0)
-        return float(np.linalg.norm(hollow))
-
-    for _ in range(_JACOBI_SWEEPS):
-        if offdiag(a) < threshold:
+        off = sum(x * x for i, row in enumerate(a) for j, x in enumerate(row) if i != j)
+        if math.sqrt(off) < threshold:
             break
         for p in range(n - 1):
             for q in range(p + 1, n):
-                apq = a[p, q]
+                apq = a[p][q]
                 if abs(apq) < 1e-300:
                     continue
-                tau = (a[q, q] - a[p, p]) / (2.0 * apq)
+                tau = (a[q][q] - a[p][p]) / (2.0 * apq)
                 if abs(tau) > 1e150:
                     t = 1.0 / (2.0 * tau)
                 else:
                     t = math.copysign(1.0, tau) / (abs(tau) + math.sqrt(1.0 + tau * tau))
                 c = 1.0 / math.sqrt(1.0 + t * t)
                 s = t * c
-                col_p, col_q = a[:, p].copy(), a[:, q].copy()
-                a[:, p] = c * col_p - s * col_q
-                a[:, q] = s * col_p + c * col_q
-                row_p, row_q = a[p, :].copy(), a[q, :].copy()
-                a[p, :] = c * row_p - s * row_q
-                a[q, :] = s * row_p + c * row_q
-                a[p, q] = a[q, p] = 0.0
+                for row in a:
+                    x, y = row[p], row[q]
+                    row[p], row[q] = c * x - s * y, s * x + c * y
+                row_p, row_q = a[p], a[q]
+                a[p] = [c * x - s * y for x, y in zip(row_p, row_q)]
+                a[q] = [s * x + c * y for x, y in zip(row_p, row_q)]
+                a[p][q] = a[q][p] = 0.0
     else:
         raise NumericalFailureError("Jacobi sweeps did not converge in 100 sweeps")
-    return np.sort(np.diag(a))
+    return np.sort([a[i][i] for i in range(n)])
 
 
 def _eigenvalues_and_scale(a: PatternMatrix):
@@ -284,10 +283,10 @@ def _lbfgs_direction(grad, pairs):
 def _descent(ends, diag, weights, target, iters):
     """L-BFGS (Liu & Nocedal, 1989) with an Armijo backtracking line search.
 
-    Yields (diag, weights, stalled): the iterate every 25 steps while
-    f < 1e-12, and the last iterate.  The restart ends early once f < 1e-24,
-    when no step above 1e-14 decreases f, or, with stalled True, when f has
-    not halved over the last _STALL_STEPS steps.
+    Returns (diag, weights, stalled) for the last iterate.  The restart ends
+    once f < TOL_ZERO**2, where every target eigenvalue lies below the zero
+    threshold `certify` uses; when no step above 1e-14 decreases f; or, with
+    stalled True, when f has not halved over the last _STALL_STEPS steps.
     """
     n = len(diag)
 
@@ -316,16 +315,15 @@ def _descent(ends, diag, weights, target, iters):
         if step @ change > 0.0:
             pairs.append((step, change, 1.0 / (step @ change)))
         x, f, grad = x + step, f2, grad2
-        if f < 1e-24:
+        # each |eigenvalue| is below TOL_ZERO <= TOL_ZERO * max(1, ||A||_F)
+        if f < TOL_ZERO**2:
             break
         if (it + 1) % _STALL_STEPS == 0:
             if f > 0.5 * f_mark:
                 stalled = True
                 break
             f_mark = f
-        if (it + 1) % 25 == 0 and f < 1e-12:
-            yield x[:n], x[n:], False
-    yield x[:n], x[n:], stalled
+    return x[:n], x[n:], stalled
 
 
 def _certify_best(g: Graph, diag, weights, target):
@@ -344,9 +342,10 @@ def maximize_nullity(g: Graph, target, budget=(50, 2000), seed=0):
 
     Runs L-BFGS on the sum of the target smallest squared eigenvalues, with
     a penalty that pushes every edge weight above a floor relative to the
-    matrix scale and a stop for restarts that stall, with restart seeds
-    seed, seed+1, ...; returns the first certificate reaching the target,
-    else NotAchieved with the best certified k seen.  A certificate is
+    matrix scale, with restart seeds seed, seed+1, ...; each restart ends at
+    the zero threshold or when it stalls, and its last iterate is certified
+    once.  Returns the first certificate reaching the target, else
+    NotAchieved with the best certified k seen.  A certificate is
     numerical, not a proof (see `certify` for what it checks); failure
     proves nothing.
     """
@@ -362,11 +361,11 @@ def maximize_nullity(g: Graph, target, budget=(50, 2000), seed=0):
         rng = np.random.default_rng(seed + r)
         diag = rng.uniform(-1.0, 1.0, g.n)
         weights = rng.uniform(0.5, 1.5, m) * rng.choice([-1.0, 1.0], m)
-        for diag, weights, stall in _descent(ends, diag, weights, target, iters):
-            k, cert = _certify_best(g, diag, weights, target)
-            best_k = max(best_k, k)
-            if k == target:
-                return cert
+        diag, weights, stall = _descent(ends, diag, weights, target, iters)
+        k, cert = _certify_best(g, diag, weights, target)
+        if k == target:
+            return cert
+        best_k = max(best_k, k)
         left_pattern += bool(np.any(np.abs(weights) < EDGE_MIN))
         stalled += stall
     return NotAchieved(

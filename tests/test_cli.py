@@ -197,3 +197,39 @@ def test_unknown_builtin_is_usage_error(capsys):
     code, _, err = run_cli(capsys, "fnum", "Q17")
     assert code == 2
     assert "usage error" in err
+
+
+def test_diff_of_two_runs(capsys, tmp_path):
+    a, b = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
+    for path in (a, b):
+        assert main(["verify", "--nmax", "4", "--budget", "10x500", "--out", str(path)]) == 0
+    capsys.readouterr()
+    code, out, _ = run_cli(capsys, "diff", str(a), str(b))
+    payload = json.loads(out)
+    assert code == 0 and payload["same"] is True and payload["differences"] == []
+    assert payload["records"] == [11, 11]
+    # a changed field and a torn last line both differ; neither file is touched
+    lines = a.read_text().splitlines(keepends=True)
+    rec = json.loads(lines[0])
+    rec["f"] += 1
+    a.write_text(json.dumps(rec) + "\n" + "".join(lines[1:]))
+    b.write_bytes(b.read_bytes()[:-40])
+    before = (a.read_bytes(), b.read_bytes())
+    code, out, _ = run_cli(capsys, "diff", str(a), str(b))
+    payload = json.loads(out)
+    assert code == 1 and payload["same"] is False and payload["records"] == [11, 10]
+    assert f"{rec['graph']} f: {rec['f']} != {rec['f'] - 1}" in payload["differences"]
+    assert len(payload["differences"]) == 2
+    assert (a.read_bytes(), b.read_bytes()) == before
+
+
+@pytest.mark.parametrize("content", [None, "this is not json\n", "[1, 2]\n"])
+def test_diff_missing_or_corrupt_file_is_io_error(capsys, tmp_path, content):
+    good, bad = tmp_path / "good.jsonl", tmp_path / "bad.jsonl"
+    good.write_text(json.dumps({"graph": "A_", "f": 1}) + "\n")
+    if content is not None:
+        bad.write_text(content)
+    for argv in ((str(good), str(bad)), (str(bad), str(good))):
+        code, out, err = run_cli(capsys, "diff", *argv)
+        assert code == 2 and out == ""
+        assert err.startswith("I/O error:")

@@ -6,8 +6,9 @@ import random
 import numpy as np
 import pytest
 
+import zfpaths.nullity as nullity
 from conftest import objective_gradient_errors
-from zfpaths.errors import ContractError, UnsupportedSizeError
+from zfpaths.errors import ContractError, NumericalFailureError, UnsupportedSizeError
 from zfpaths.forcing import forcing_number
 from zfpaths.graphs import (
     Graph,
@@ -22,6 +23,7 @@ from zfpaths.nullity import (
     _CLUSTER_REL,
     _FLOOR_REL,
     _PENALTY,
+    TOL_ZERO,
     Classification,
     NotAchieved,
     NullityCertificate,
@@ -84,13 +86,32 @@ def test_spectrum_diagonal_only():
 
 def test_jacobi_matches_lapack_on_random_symmetric(rng):
     nprng = np.random.default_rng(5)
-    for _ in range(25):
-        n = int(nprng.integers(2, 10))
+    for t in range(72):
+        n = 1 + t % 12
         a = nprng.normal(size=(n, n))
+        if t % 3 == 0:  # exact zeros exercise the rotation skip, as pattern matrices do
+            a[nprng.random((n, n)) < 0.5] = 0.0
         a = (a + a.T) / 2
         mine = jacobi_eigenvalues(a)
         ref = np.linalg.eigvalsh(a)
         assert np.max(np.abs(mine - ref)) < 1e-9
+
+
+def test_jacobi_repeated_eigenvalues_of_pattern_matrices():
+    # unit C4 has spectrum (-2, 0, 0, 2) and the all-ones K4 (0, 0, 0, 4)
+    cases = ((cycle_graph(4), 0.0, (-2, 0, 0, 2)), (complete_graph(4), 1.0, (0, 0, 0, 4)))
+    for g, diag, expected in cases:
+        a = unit_pattern(g, diag=diag).as_array()
+        assert np.max(np.abs(jacobi_eigenvalues(a) - expected)) < 1e-12
+        assert np.max(np.abs(jacobi_eigenvalues(a) - np.linalg.eigvalsh(a))) < 1e-12
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_jacobi_rejects_non_finite_entries(bad):
+    a = unit_pattern(cycle_graph(4)).as_array()
+    a[1, 2] = a[2, 1] = bad
+    with pytest.raises(NumericalFailureError):
+        jacobi_eigenvalues(a)
 
 
 def test_nullity_counts():
@@ -188,6 +209,39 @@ def test_maximize_nullity_k4_target_three():
     result = maximize_nullity(complete_graph(4), 3, budget=(10, 1000), seed=1)
     assert isinstance(result, NullityCertificate)
     assert result.k == 3
+
+
+@pytest.mark.parametrize("g, target", [(complete_graph(4), 3), (cycle_graph(4), 2)])
+def test_restart_ends_at_the_certify_threshold(monkeypatch, g, target):
+    # the iterate current at each new search direction, plus the last one
+    # evaluated, are exactly the iterates the line search accepted
+    evaluated, accepted, returned = [], [], []
+    objective, direction, descent = nullity._objective, nullity._lbfgs_direction, nullity._descent
+
+    def record_objective(ends, diag, weights, target):
+        out = objective(ends, diag, weights, target)
+        evaluated.append((out[0], np.concatenate([diag, weights])))
+        return out
+
+    def record_direction(grad, pairs):
+        accepted.append(evaluated[-1][0])
+        return direction(grad, pairs)
+
+    def record_descent(*args):
+        returned.append(descent(*args))
+        return returned[-1]
+
+    monkeypatch.setattr(nullity, "_objective", record_objective)
+    monkeypatch.setattr(nullity, "_lbfgs_direction", record_direction)
+    monkeypatch.setattr(nullity, "_descent", record_descent)
+    result = maximize_nullity(g, target, budget=(10, 1000), seed=1)
+    assert isinstance(result, NullityCertificate) and result.k == target
+    assert len(returned) == 1  # certified on restart 1
+    diag, weights, stalled = returned[0]
+    f_last, x_last = evaluated[-1]
+    assert not stalled and np.array_equal(np.concatenate([diag, weights]), x_last)
+    assert f_last < TOL_ZERO**2
+    assert all(f >= TOL_ZERO**2 for f in accepted)
 
 
 def test_all_ones_matrix_certifies_k4():
