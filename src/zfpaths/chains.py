@@ -2,8 +2,12 @@
 
 A complete forcing run partitions the vertices into |F| chains, one per
 initially colored vertex, each an induced path.  A chain is the tuple of
-its vertices read from its head, and a chain set is a run plus its chains,
-sorted by head; positions and owners are looked up in its `OrderIndex`.
+its vertices read from its head, and a chain set is its host and its
+chains, sorted by head; its origin is the set of heads, and positions and
+owners are looked up in its `OrderIndex`.  Forcing chains are defined by a
+chronological list of forces, one at a time, not by the time steps of a
+synchronous run: extraction checks each link against the run it read, and
+every chain set, repaired ones too, must admit such a list.
 
 Two kinds of defect can block a parallel-path drawing: a vertex with two
 non-consecutive neighbors in another non-trivial chain ("bad"), and a
@@ -32,16 +36,12 @@ from .graphs import Graph, is_induced_path
 
 @dataclass(frozen=True)
 class ChainSet:
+    host: Graph
     chains: tuple  # vertex tuples, each read from its head, sorted by head
-    run: ForcingRun  # the run of the heads
-
-    @property
-    def host(self) -> Graph:
-        return self.run.host
 
     @property
     def origin(self) -> frozenset:
-        return self.run.initial
+        return frozenset(c[0] for c in self.chains)
 
     @cached_property
     def index(self):
@@ -141,9 +141,9 @@ def extract_chains(run: ForcingRun) -> ChainSet:
         while seq[-1] in succ:
             seq.append(succ[seq[-1]])
         chains.append(tuple(seq))
-    cs = ChainSet(chains=tuple(chains), run=run)
+    cs = ChainSet(host=run.host, chains=tuple(chains))
     _validate(cs)
-    bad = invalid_links(cs)
+    bad = invalid_links(run, cs.chains)
     if bad:
         raise InternalLogicError(f"extracted chain links outside the run's events: {bad}")
     return cs
@@ -155,11 +155,9 @@ def chains_for(g: Graph, colored) -> ChainSet:
 
 
 def _validate(cs: ChainSet):
-    """Partition, head, induced-path, and realizability checks on a chain set."""
+    """Partition, induced-path, and realizability checks on a chain set."""
     if sorted(v for c in cs.chains for v in c) != list(range(cs.host.n)):
         raise InternalLogicError("chains do not partition the vertex set")
-    if frozenset(c[0] for c in cs.chains) != cs.origin:
-        raise InternalLogicError("chain heads differ from the originating set")
     for c in cs.chains:
         if not is_induced_path(cs.host, c):
             raise InternalLogicError(f"chain {c} is not an induced path")
@@ -167,24 +165,24 @@ def _validate(cs: ChainSet):
         raise InternalLogicError("chains admit no chronological sequence of forces")
 
 
-def invalid_links(cs: ChainSet):
-    """Chain links (u, v) that the synchronous run of the origin cannot realize.
+def invalid_links(run: ForcingRun, chains):
+    """Chain links (u, v) that this synchronous run cannot realize.
 
     A link is realizable when u was colored before v and every other
-    neighbor of u was colored strictly before v's step.  Freshly extracted
-    chain sets always pass; repaired ones may legitimately need a different
-    force schedule and are covered by sequentially_realizable instead.
+    neighbor of u was colored strictly before v's step.  Chains extracted
+    from the run always pass; repaired ones may legitimately need a
+    different force schedule, which `sequentially_realizable` checks.
     """
-    step = cs.run.step_of
+    step = run.step_of
     bad = []
-    for c in cs.chains:
+    for c in chains:
         for u, v in zip(c, c[1:]):
             sv = step.get(v)
             su = step.get(u)
             if su is None or sv is None or su >= sv:
                 bad.append((u, v))
                 continue
-            for w in cs.host.neighbors(u):
+            for w in run.host.neighbors(u):
                 if w != v and step.get(w, sv) >= sv:
                     bad.append((u, v))
                     break
@@ -196,7 +194,8 @@ def sequentially_realizable(cs: ChainSet):
 
     Greedy firing is sound and complete here: a chain step's precondition
     (all neighbors of the forcer but its target colored) is monotone in the
-    colored set, so firing order never matters.
+    colored set, so firing order never matters.  Every link fired is a legal
+    force, so True also proves that the heads form a forcing set.
     """
     colored = set(cs.origin)
     pointer = [1] * len(cs.chains)
@@ -277,12 +276,7 @@ def unfavorite_vertices(cs: ChainSet):
 
 
 def _rebuild(host: Graph, chains) -> ChainSet:
-    chains = tuple(sorted(chains, key=lambda c: c[0]))
-    origin = frozenset(c[0] for c in chains)
-    run = closure(host, origin)
-    if not run.complete:
-        raise InternalLogicError(f"rewritten origin {sorted(origin)} is not a forcing set")
-    cs = ChainSet(chains=chains, run=run)
+    cs = ChainSet(host=host, chains=tuple(sorted(chains, key=lambda c: c[0])))
     _validate(cs)
     return cs
 
@@ -370,30 +364,23 @@ class OrderLemmaReport:
         return not self.violations
 
     def by_lemma(self):
-        out = {"earlier_cross_neighbor": True, "no_inverting_pair": True, "no_inverting_triple": True}
+        out = {"no_inverting_pair": True, "no_inverting_triple": True}
         for name, _ in self.violations:
             out[name] = False
         return out
 
 
 def check_order_lemmas(cs: ChainSet) -> OrderLemmaReport:
-    """Exhaustive scans of the three chain-order facts; failures indicate bugs.
+    """Exhaustive scans of the two chain-order facts; failures indicate bugs.
 
-    Checked facts: a cross neighbor of a forcing vertex is colored before
-    every later vertex of that chain; segments between a chain pair never
-    invert; and the three-chain mixed configuration never inverts either.
+    Checked facts: segments between a chain pair never invert, and the
+    three-chain mixed configuration never inverts either.  That a cross
+    neighbor of a forcing vertex is colored before the vertex it forces is
+    what `invalid_links` checks when the chains are extracted, and what
+    `sequentially_realizable` checks on every chain set.
     """
     violations = []
-    step = cs.run.step_of
     index = cs.index
-    for i, c in enumerate(cs.chains):
-        for p, x in enumerate(c[:-1]):
-            for z in cs.host.neighbors(x):
-                if index.owner.get(z) == i:
-                    continue
-                for y in c[p + 1 :]:
-                    if step.get(z, 10**9) >= step.get(y, -1):
-                        violations.append(("earlier_cross_neighbor", (x, y, z)))
     count = len(cs.chains)
     # the (j, i) scan finds the (i, j) inversions again, mirrored
     for i, j in itertools.combinations(range(count), 2):

@@ -192,7 +192,7 @@ class NotAchieved:
     target: int
     best_k: int
     restarts: int
-    left_pattern: int  # restarts whose last iterate had a weight below EDGE_MIN
+    left_pattern: int  # restarts whose last iterate was not a finite pattern matrix
     stalled: int  # restarts ended because f stopped halving
 
 
@@ -326,17 +326,6 @@ def _descent(ends, diag, weights, target, iters):
     return x[:n], x[n:], stalled
 
 
-def _certify_best(g: Graph, diag, weights, target):
-    """The certified k <= target of this matrix with its certificate, else (0, None)."""
-    finite = np.all(np.isfinite(diag)) and np.all(np.isfinite(weights))
-    if not finite or np.any(np.abs(weights) < EDGE_MIN):
-        return 0, None
-    weights_by_edge = dict(zip(g.edges, map(float, weights)))
-    pm = PatternMatrix(host=g, diag=tuple(map(float, diag)), weights=weights_by_edge)
-    cert = certify(pm, target)
-    return (0, None) if cert is None else (cert.k, cert)
-
-
 def maximize_nullity(g: Graph, target, budget=(50, 2000), seed=0):
     """Lower-bound search: drive the target smallest eigenvalues to zero.
 
@@ -362,11 +351,19 @@ def maximize_nullity(g: Graph, target, budget=(50, 2000), seed=0):
         diag = rng.uniform(-1.0, 1.0, g.n)
         weights = rng.uniform(0.5, 1.5, m) * rng.choice([-1.0, 1.0], m)
         diag, weights, stall = _descent(ends, diag, weights, target, iters)
-        k, cert = _certify_best(g, diag, weights, target)
-        if k == target:
-            return cert
-        best_k = max(best_k, k)
-        left_pattern += bool(np.any(np.abs(weights) < EDGE_MIN))
+        size = np.abs(weights)
+        in_pattern = bool(
+            np.all(np.isfinite(diag)) and np.all((size >= EDGE_MIN) & (size < np.inf))
+        )
+        if in_pattern:
+            weights_by_edge = dict(zip(g.edges, map(float, weights)))
+            pm = PatternMatrix(host=g, diag=tuple(map(float, diag)), weights=weights_by_edge)
+            cert = certify(pm, target)
+            if cert is not None:
+                if cert.k == target:
+                    return cert
+                best_k = max(best_k, cert.k)
+        left_pattern += not in_pattern
         stalled += stall
     return NotAchieved(
         target=target, best_k=best_k, restarts=restarts, left_pattern=left_pattern, stalled=stalled

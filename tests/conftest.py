@@ -3,6 +3,7 @@ and the finite-difference check of the nullity objective."""
 
 import itertools
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -24,6 +25,75 @@ def sequential_closure(g: Graph, colored):
                 break
         if not fired:
             return frozenset(colored)
+
+
+def brute_drawing_ok(g: Graph, d):
+    """Validity of a drawing from the definition; the verifier's oracle.
+
+    The rows must partition the vertices into non-empty induced paths with
+    x strictly increasing along each.  Vertex v sits at (x[v], row of v).
+    Two cross-row segments P + t(Q - P) and R + s(S - R), 0 <= t, s <= 1,
+    may meet only at an end they share, and no vertex may lie on a segment
+    it does not end.
+    """
+    rows = [tuple(row) for row in d.rows]
+    if sorted(v for row in rows for v in row) != list(range(g.n)) or not all(rows):
+        return False
+    if any(v not in d.x for v in range(g.n)):
+        return False
+    edges = {frozenset(e) for e in g.edges}
+    for row in rows:
+        for i, j in itertools.combinations(range(len(row)), 2):
+            if (frozenset((row[i], row[j])) in edges) != (j == i + 1):
+                return False
+        if any(not d.x[u] < d.x[v] for u, v in zip(row, row[1:])):
+            return False
+    at = {v: (Fraction(d.x[v]), Fraction(i)) for i, row in enumerate(rows) for v in row}
+    row_of = {v: i for i, row in enumerate(rows) for v in row}
+    segments = [(u, v) for u, v in g.edges if row_of[u] != row_of[v]]
+
+    def sub(a, b):
+        return (a[0] - b[0], a[1] - b[1])
+
+    def cross(a, b):
+        return a[0] * b[1] - a[1] * b[0]
+
+    def dot(a, b):
+        return a[0] * b[0] + a[1] * b[1]
+
+    def params_on(p, q, w):
+        """t with w = p + t(q - p), or None when w is off the line."""
+        dv, rel = sub(q, p), sub(w, p)
+        return dot(rel, dv) / dot(dv, dv) if cross(rel, dv) == 0 else None
+
+    for u, v in segments:
+        for w in range(g.n):
+            t = params_on(at[u], at[v], at[w])
+            if w not in (u, v) and t is not None and 0 <= t <= 1:
+                return False
+    for (a, b), (c, e) in itertools.combinations(segments, 2):
+        p, q, r, s = at[a], at[b], at[c], at[e]
+        dv, ev, rp = sub(q, p), sub(s, r), sub(r, p)
+        det = cross(dv, ev)
+        if det:
+            t, t2 = cross(rp, ev) / det, cross(rp, dv) / det
+            if not (0 <= t <= 1 and 0 <= t2 <= 1):
+                continue
+            lo = hi = t
+        elif cross(rp, dv) == 0:
+            # collinear: the parameter interval of the second segment on the first
+            tr, ts = params_on(p, q, r), params_on(p, q, s)
+            lo, hi = max(0, min(tr, ts)), min(1, max(tr, ts))
+            if lo > hi:
+                continue
+        else:
+            continue
+        if lo < hi:
+            return False
+        meet = (p[0] + lo * dv[0], p[1] + lo * dv[1])
+        if not any(at[w] == meet for w in {a, b} & {c, e}):
+            return False
+    return True
 
 
 def brute_canonical_form(g: Graph):

@@ -1,8 +1,10 @@
+import itertools
 import json
 import random
 from fractions import Fraction
 
 import pytest
+from conftest import brute_drawing_ok
 
 from zfpaths.drawing import (
     StandardDrawing,
@@ -97,6 +99,69 @@ def test_verify_catches_vertex_on_segment():
     )
     report = verify_drawing(g, d)
     assert any("passes through" in v for v in report.violations)
+
+
+def _random_drawing(rng):
+    """Rows that are induced paths, random cross-row edges, and x increasing
+    along each row from a small integer range, so that vertical, collinear
+    and touching segments are common."""
+    n, k = rng.randint(2, 8), rng.randint(2, 4)
+    verts = rng.sample(range(n), n)
+    cuts = sorted(rng.sample(range(1, n), min(k, n) - 1))
+    rows = tuple(tuple(verts[a:b]) for a, b in zip([0, *cuts], [*cuts, n]))
+    row_of = {v: i for i, row in enumerate(rows) for v in row}
+    edges = [e for row in rows for e in zip(row, row[1:])]
+    edges += [
+        (u, v)
+        for u, v in itertools.combinations(range(n), 2)
+        if row_of[u] != row_of[v] and rng.random() < 0.35
+    ]
+    x = {}
+    for row in rows:
+        xs = sorted(rng.sample(range(max(3, len(row))), len(row)))
+        x.update(zip(row, map(Fraction, xs)))
+    g = Graph(n, edges)
+    return g, StandardDrawing(rows=rows, x=x, host=g)
+
+
+def test_verify_agrees_with_the_definition_on_degenerate_drawings():
+    rng = random.Random(20261019)
+    verdicts = []
+    for _ in range(2000):
+        g, d = _random_drawing(rng)
+        ok = verify_drawing(g, d).ok
+        assert ok == brute_drawing_ok(g, d), (g.edges, d.rows, d.x)
+        verdicts.append(ok)
+    # both verdicts are common, so neither side of the check is vacuous
+    assert 400 < sum(verdicts) < 1600
+
+
+def test_verify_reports_a_row_chord_once():
+    # the chord 0-2 makes the row no induced path, and nothing else is reported
+    g = Graph(3, [(0, 1), (1, 2), (0, 2)])
+    d = StandardDrawing(rows=((0, 1, 2),), x={v: Fraction(v) for v in range(3)}, host=g)
+    assert verify_drawing(g, d).violations == ["row 0 (0, 1, 2) is not an induced path"]
+    assert not brute_drawing_ok(g, d)
+
+
+def test_verify_two_segments_along_one_ray():
+    # 0-1 and 0-2 leave 0 straight down; the nearer end 1 lies on 0-2
+    g = Graph(3, [(0, 1), (0, 2)])
+    d = StandardDrawing(rows=((0,), (1,), (2,)), x={v: Fraction(0) for v in range(3)}, host=g)
+    assert verify_drawing(g, d).violations == ["segment 0-2 passes through vertex 1"]
+    assert not brute_drawing_ok(g, d)
+
+
+def test_verify_end_touching_another_segment():
+    # 1-3 ends at 1, which lies on 0-2; the segments share no end
+    g = Graph(4, [(0, 3), (0, 2), (1, 3)])
+    d = StandardDrawing(
+        rows=((0, 3), (1,), (2,)),
+        x={0: Fraction(0), 1: Fraction(0), 2: Fraction(0), 3: Fraction(1)},
+        host=g,
+    )
+    assert verify_drawing(g, d).violations == ["segment 0-2 passes through vertex 1"]
+    assert not brute_drawing_ok(g, d)
 
 
 # F = 3 graphs with row orders, the pipeline's among them, that a greedy

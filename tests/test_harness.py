@@ -1,11 +1,19 @@
 import json
+import sys
 
 import pytest
 
-from zfpaths import harness
+from zfpaths import drawing, harness
 from zfpaths.cli import main
 from zfpaths.errors import NumericalFailureError, UnsupportedInputError
-from zfpaths.graphs import canonical_form, disjoint_union, encode_graph6, fig8_graph, path_graph
+from zfpaths.graphs import (
+    canonical_form,
+    disjoint_union,
+    encode_graph6,
+    fig8_graph,
+    parse_graph6,
+    path_graph,
+)
 from zfpaths.harness import ALL_CHECKS, diff_reports, run_suite
 from zfpaths.nullity import classify
 
@@ -79,6 +87,45 @@ def test_suite_overruns_on_figure8_only(tmp_path, monkeypatch):
     assert report.ok and not report.warnings
     fig8 = next(rec for rec in report.records.values() if rec["n"] == 10)
     assert fig8["tag"] == "Figure8_F3M2" and fig8["f"] == 3 and fig8["m_certified"] == 2
+
+
+def test_suite_verifies_each_drawing_once(monkeypatch):
+    calls = []
+    real = drawing.verify_drawing
+
+    def spy(g, d):
+        calls.append(g)
+        return real(g, d)
+
+    # every zfpaths module that binds the verifier by name calls the spy
+    for name, mod in list(sys.modules.items()):
+        if name.split(".")[0] == "zfpaths" and getattr(mod, "verify_drawing", None) is real:
+            monkeypatch.setattr(mod, "verify_drawing", spy)
+    report = run_suite(4, nullity_budget=(15, 800), seed=2)
+    drawn = sum(rec["drawing_ok"] is True for rec in report.records.values())
+    assert report.ok and drawn == report.cursor == 11
+    assert len(calls) == drawn
+
+
+def test_graph_listed_twice_is_checked_and_written_once(tmp_path, monkeypatch):
+    checked = []
+    real = harness._check_one
+
+    def spy(g, key, *args):
+        checked.append(key)
+        return real(g, key, *args)
+
+    monkeypatch.setattr(harness, "_check_one", spy)
+    corpus, out = tmp_path / "twice.g6", tmp_path / "r.jsonl"
+    corpus.write_text("Bw\nBo\nBw\n")  # K3, P3, K3
+    report = run_suite(str(corpus), out_path=str(out), nullity_budget=(15, 800), seed=0)
+    triangle = canonical_form(parse_graph6("Bw"))
+    assert sorted(checked) == sorted({triangle, canonical_form(parse_graph6("Bo"))})
+    keys = [json.loads(line)["graph"] for line in out.read_text().splitlines()]
+    assert sorted(keys) == sorted(checked)
+    # the second copy still counts, as a resumed record does
+    assert report.cursor == 3 and sum(report.totals.values()) == 3
+    assert report.totals[report.records[triangle]["tag"]] == 2
 
 
 def test_suite_classifies_k4_and_k33(tmp_path):
