@@ -40,6 +40,6 @@ from .nullity import (
     nullity_of,
     spectrum,
 )
-from .harness import SuiteReport, diff_reports, run_suite
+from .harness import SuiteReport, run_suite
 
 __version__ = "0.1.0"

@@ -188,8 +188,8 @@ def _cmd_nullity(args):
         print(json.dumps({"achieved": False, **{k: getattr(result, k) for k in keys}}))
         print(
             f"target {result.target} not achieved; best certified {result.best_k}; "
-            f"of {result.restarts} restarts, {result.left_pattern} ended with an edge "
-            f"weight below the pattern minimum and {result.stalled} stalled",
+            f"of {result.restarts} restarts, {result.stalled} stalled short of the zero "
+            f"threshold and {result.left_pattern} reached it below the weight floor",
             file=sys.stderr,
         )
     return 0

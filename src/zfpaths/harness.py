@@ -275,16 +275,6 @@ def _run_checks(g: Graph, key, rec, checks, seed, nullity_budget):
         rec["timings"]["nullity_ms"] = round((time.perf_counter() - t0) * 1000, 3)
 
 
-def diff_reports(a: SuiteReport, b: SuiteReport) -> str:
-    """Field-level differences between two runs of the same corpus (see
-    `diff_records`), one per line."""
-    if a.corpus_id != b.corpus_id:
-        raise UnsupportedInputError(
-            f"corpus mismatch: {a.corpus_id} vs {b.corpus_id}"
-        )
-    return "\n".join(diff_records(a.records, b.records))
-
-
 def diff_records(a: dict, b: dict) -> list:
     """Field-level differences between two record sets keyed by graph.
 

@@ -3,20 +3,20 @@
 A pattern matrix for a graph has arbitrary diagonal, nonzero entries on
 edges, and exact zeros elsewhere.  The maximum nullity over such matrices
 is bounded above by the forcing number; numerical lower bounds are produced
-here by driving the smallest eigenvalues to zero with L-BFGS and certifying
-the last iterate of each restart.  A penalty pushes every edge weight above a
-floor relative to the matrix scale, away from near-boundary matrices that the
-float certificate cannot tell from pattern matrices.  A restart ends once its
-objective falls below TOL_ZERO**2, where every target eigenvalue lies under
-the certificate's zero threshold, or once it stalls.  Certificates are checked
-with an in-house Jacobi eigensolver, independent of the LAPACK path used
-inside the optimizer.
+here by Newton's method on the cluster of the target smallest eigenvalues,
+which solves V^T A V = 0 for their eigenvectors V.  A restart ends when those
+eigenvalues lie 1000 times below the certificate's zero threshold, when
+||A||_F diverges, or when its steps run out.  Its last iterate is certified
+only if every edge weight clears a hard floor relative to the matrix scale:
+without it Newton converges onto near-boundary matrices that the float
+certificate cannot tell from pattern matrices.  Certificates are checked with
+an in-house Jacobi eigensolver, independent of the LAPACK path used inside
+the optimizer.
 """
 
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,8 +28,6 @@ from .graphs import Graph
 EDGE_MIN = 1e-3  # pattern membership: |weight| >= EDGE_MIN
 TOL_ZERO = 1e-8  # relative zero threshold for nullity counting
 GAP_FACTOR = 10  # certified gap must exceed GAP_FACTOR * TOL_ZERO
-_PENALTY = 10.0
-_FLOOR_REL = 0.05  # the penalty pushes |weight| up to _FLOOR_REL * max(1, ||A||_F)
 _MG_CHECK_CAP = 12  # forcing-number cross-check cap inside certificates
 
 
@@ -167,12 +165,10 @@ def nullity_of(a: PatternMatrix):
 # -- nullity maximization -----------------------------------------------------
 
 _OPT_CAP = 32
-_CLUSTER_REL = 1e-9
-_MEMORY = 8  # L-BFGS curvature pairs kept
-_FIRST_STEP = 0.05  # scale of the first direction and of steepest-descent fallbacks
-_ARMIJO = 1e-4  # sufficient-decrease constant of the line search
-_LINE_STEPS = tuple(0.5**i for i in range(47))  # 1, 1/2, ... down to the last above 1e-14
-_STALL_STEPS = 50  # a restart ends when f fails to halve over this many steps
+_CONVERGED = 1e-3  # a restart converges below _CONVERGED * TOL_ZERO * max(1, ||A||_F)
+_DIVERGED = 1e12  # a restart is abandoned once ||A||_F exceeds this
+_FLOOR_REL = 0.05  # Newton moves |weight| below _FLOOR_REL * max(1, ||A||_F) back above it
+_FLOOR_CERTIFY = 0.045  # certify only if every |weight| >= _FLOOR_CERTIFY * max(1, ||A||_F)
 
 
 @dataclass(frozen=True)
@@ -189,11 +185,16 @@ class NullityCertificate:
 
 @dataclass(frozen=True)
 class NotAchieved:
+    """Why no restart certified the target: `stalled` restarts ended short of
+    the zero threshold (diverged or out of steps), and `left_pattern` reached
+    it on an iterate below the hard weight floor.  `best_k` is the largest
+    nullity below the target that a restart's last iterate certified."""
+
     target: int
     best_k: int
     restarts: int
-    left_pattern: int  # restarts whose last iterate was not a finite pattern matrix
-    stalled: int  # restarts ended because f stopped halving
+    left_pattern: int
+    stalled: int
 
 
 def certificate_from_json_obj(obj) -> NullityCertificate:
@@ -234,109 +235,68 @@ def certify(pm: PatternMatrix, target):
     )
 
 
-def _objective(ends, diag, weights, target):
-    """Sum of the target smallest squared eigenvalues plus the pattern penalty,
-    and its gradient in (diag, weights) coordinates: an eigenvalue's gradient
-    averages v v^T over its cluster of equal eigenvalues, doubled off the
-    diagonal because a weight occupies two symmetric matrix entries.
+def _frobenius(diag, weights):
+    """||A||_F of the pattern matrix with this diagonal and these edge weights."""
+    return math.sqrt(diag @ diag + 2.0 * (weights @ weights))
 
-    The penalty is _PENALTY * short^2 per edge, where short is how far |weight|
-    falls below _FLOOR_REL * s, with s = max(1, ||A||_F) the scale `certify`
-    uses: an absolute floor lets the whole matrix grow until weights near the
-    floor make eigenvalues below certify's relative threshold."""
-    a = assemble(ends, diag, weights)
-    vals, vecs = np.linalg.eigh(a)  # ascending
-    scale = max(1.0, float(np.linalg.norm(a)))
-    selected = np.argsort(np.abs(vals))[:target]
-    lam = vals[selected]
-    cluster = np.zeros(len(vals), dtype=np.intp)
-    np.cumsum(vals[1:] - vals[:-1] >= _CLUSTER_REL * scale, out=cluster[1:])
-    sizes = np.bincount(cluster)
-    coef = np.bincount(cluster[selected], weights=2.0 * lam, minlength=len(sizes)) / sizes
-    grad_mat = (vecs * coef[cluster]) @ vecs.T
-    short = np.maximum(_FLOOR_REL * scale - np.abs(weights), 0.0)
-    f = float(lam @ lam + _PENALTY * (short @ short))
-    # d s / d a_ij = a_ij / s above 1, so a rising floor pulls every entry in
-    pull = 2.0 * _PENALTY * _FLOOR_REL * float(short.sum()) / scale if scale > 1.0 else 0.0
+
+def _jacobian(ends, vecs):
+    """d(V^T A V)_ij / dx for the pairs i <= j of V's columns, in
+    np.triu_indices order, over x = (diag, weights): diagonal entry p
+    contributes V[p,i] V[p,j], and edge (u, v), which occupies two symmetric
+    entries, V[u,i] V[v,j] + V[v,i] V[u,j].  At an eigenvector pair the
+    diagonal rows are the gradients of the eigenvalues."""
     us, vs = ends
-    grad_w = 2.0 * grad_mat[us, vs] - 2.0 * _PENALTY * np.copysign(short, weights)
-    return f, grad_mat.diagonal() + pull * diag, grad_w + 2.0 * pull * weights
-
-
-def _lbfgs_direction(grad, pairs):
-    """-H grad by the L-BFGS two-loop recursion over the curvature pairs
-    (s, y, 1 / s.y), oldest first; -_FIRST_STEP * grad when there are none."""
-    if not pairs:
-        return -_FIRST_STEP * grad
-    q = grad.copy()
-    alphas = []
-    for s, y, rho in reversed(pairs):
-        alphas.append(rho * (s @ q))
-        q -= alphas[-1] * y
-    s, y, _ = pairs[-1]
-    q *= (s @ y) / (y @ y)
-    for (s, y, rho), alpha in zip(pairs, reversed(alphas)):
-        q += (alpha - rho * (y @ q)) * s
-    return -q
+    i, j = np.triu_indices(vecs.shape[1])
+    vi, vj = vecs[:, i], vecs[:, j]
+    return np.concatenate([vi * vj, vi[us] * vj[vs] + vi[vs] * vj[us]]).T
 
 
 def _descent(ends, diag, weights, target, iters):
-    """L-BFGS (Liu & Nocedal, 1989) with an Armijo backtracking line search.
+    """Newton's method on V^T A(x) V = 0 (Friedland, Nocedal & Overton, 1987).
 
-    Returns (diag, weights, stalled) for the last iterate.  The restart ends
-    once f < TOL_ZERO**2, where every target eigenvalue lies below the zero
-    threshold `certify` uses; when no step above 1e-14 decreases f; or, with
-    stalled True, when f has not halved over the last _STALL_STEPS steps.
+    V holds the eigenvectors of the target smallest |eigenvalues| of A(x).
+    Each step takes the minimum-norm least-squares dx that zeroes the
+    linearized V^T A V, with one extra row per edge weight below the floor
+    _FLOOR_REL * max(1, ||A||_F) that moves it to 1.05 times the floor.
+    Returns (diag, weights, converged) for the last iterate.  The restart
+    ends, converged, once every selected |eigenvalue| is below
+    _CONVERGED * TOL_ZERO * max(1, ||A||_F); once ||A||_F exceeds _DIVERGED;
+    or after iters steps.
     """
     n = len(diag)
-
-    def evaluate(x):
-        f, gd, gw = _objective(ends, x[:n], x[n:], target)
-        return f, np.concatenate([gd, gw])
-
     x = np.concatenate([diag, weights])
-    f, grad = evaluate(x)
-    pairs = deque(maxlen=_MEMORY)
-    f_mark, stalled = f, False
-    for it in range(iters):
-        d = _lbfgs_direction(grad, pairs)
-        slope = float(d @ grad)
-        if not slope < 0.0:
-            d = -_FIRST_STEP * grad
-            slope = float(d @ grad)
-        for t in _LINE_STEPS:
-            f2, grad2 = evaluate(x + t * d)
-            # strict decrease as well: a step too small to move f must fail
-            if f2 < f and f2 <= f + _ARMIJO * t * slope:
-                break
-        else:
+    for _ in range(iters):
+        norm = _frobenius(x[:n], x[n:])
+        if not norm <= _DIVERGED:  # also catches nan
             break
-        step, change = t * d, grad2 - grad
-        if step @ change > 0.0:
-            pairs.append((step, change, 1.0 / (step @ change)))
-        x, f, grad = x + step, f2, grad2
-        # each |eigenvalue| is below TOL_ZERO <= TOL_ZERO * max(1, ||A||_F)
-        if f < TOL_ZERO**2:
-            break
-        if (it + 1) % _STALL_STEPS == 0:
-            if f > 0.5 * f_mark:
-                stalled = True
-                break
-            f_mark = f
-    return x[:n], x[n:], stalled
+        scale = max(1.0, norm)
+        vals, vecs = np.linalg.eigh(assemble(ends, x[:n], x[n:]))
+        selected = np.argsort(np.abs(vals))[:target]
+        if np.all(np.abs(vals[selected]) < _CONVERGED * TOL_ZERO * scale):
+            return x[:n], x[n:], True
+        i, j = np.triu_indices(target)
+        floor = _FLOOR_REL * scale
+        low = n + np.flatnonzero(np.abs(x[n:]) < floor)
+        rows = np.concatenate([_jacobian(ends, vecs[:, selected]), np.eye(len(x))[low]])
+        rhs = np.concatenate([
+            np.where(i == j, -vals[selected][i], 0.0),
+            np.copysign(1.05 * floor, x[low]) - x[low],
+        ])
+        x = x + np.linalg.lstsq(rows, rhs, rcond=None)[0]
+    return x[:n], x[n:], False
 
 
 def maximize_nullity(g: Graph, target, budget=(50, 2000), seed=0):
     """Lower-bound search: drive the target smallest eigenvalues to zero.
 
-    Runs L-BFGS on the sum of the target smallest squared eigenvalues, with
-    a penalty that pushes every edge weight above a floor relative to the
-    matrix scale, with restart seeds seed, seed+1, ...; each restart ends at
-    the zero threshold or when it stalls, and its last iterate is certified
-    once.  Returns the first certificate reaching the target, else
-    NotAchieved with the best certified k seen.  A certificate is
-    numerical, not a proof (see `certify` for what it checks); failure
-    proves nothing.
+    Runs Newton's method on V^T A V = 0 from random starts with restart seeds
+    seed, seed+1, ...; budget is (restarts, Newton steps per restart).  A
+    restart's last iterate is certified once, if it is finite and every edge
+    weight is at least EDGE_MIN and _FLOOR_CERTIFY * max(1, ||A||_F).
+    Returns the first certificate reaching the target, else NotAchieved with
+    the best certified k seen.  A certificate is numerical, not a proof (see
+    `certify` for what it checks); failure proves nothing.
     """
     if g.n > _OPT_CAP:
         raise UnsupportedSizeError(f"nullity optimization capped at n = {_OPT_CAP}")
@@ -350,21 +310,23 @@ def maximize_nullity(g: Graph, target, budget=(50, 2000), seed=0):
         rng = np.random.default_rng(seed + r)
         diag = rng.uniform(-1.0, 1.0, g.n)
         weights = rng.uniform(0.5, 1.5, m) * rng.choice([-1.0, 1.0], m)
-        diag, weights, stall = _descent(ends, diag, weights, target, iters)
-        size = np.abs(weights)
-        in_pattern = bool(
-            np.all(np.isfinite(diag)) and np.all((size >= EDGE_MIN) & (size < np.inf))
-        )
-        if in_pattern:
-            weights_by_edge = dict(zip(g.edges, map(float, weights)))
-            pm = PatternMatrix(host=g, diag=tuple(map(float, diag)), weights=weights_by_edge)
-            cert = certify(pm, target)
-            if cert is not None:
-                if cert.k == target:
-                    return cert
-                best_k = max(best_k, cert.k)
-        left_pattern += not in_pattern
-        stalled += stall
+        diag, weights, converged = _descent(ends, diag, weights, target, iters)
+        stalled += not converged
+        # the hard floor: without it Newton converges onto near-boundary
+        # matrices whose small weights the float certificate cannot tell
+        # from zeros, and forges nullity 3 on figure-8 graphs
+        norm = _frobenius(diag, weights)  # nan or inf unless the iterate is finite
+        floor = max(EDGE_MIN, _FLOOR_CERTIFY * max(1.0, norm))
+        if not (math.isfinite(norm) and np.all(np.abs(weights) >= floor)):
+            left_pattern += converged
+            continue
+        weights_by_edge = dict(zip(g.edges, map(float, weights)))
+        pm = PatternMatrix(host=g, diag=tuple(map(float, diag)), weights=weights_by_edge)
+        cert = certify(pm, target)
+        if cert is not None:
+            if cert.k == target:
+                return cert
+            best_k = max(best_k, cert.k)
     return NotAchieved(
         target=target, best_k=best_k, restarts=restarts, left_pattern=left_pattern, stalled=stalled
     )

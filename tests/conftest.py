@@ -1,5 +1,5 @@
 """Shared test oracles, deliberately independent of the library internals,
-and the finite-difference check of the nullity objective."""
+and the finite-difference check of the nullity search's Jacobian."""
 
 import itertools
 import random
@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from zfpaths.graphs import Graph, encode_graph6
-from zfpaths.nullity import _objective, assemble, edge_ends
+from zfpaths.nullity import _jacobian, assemble, edge_ends
 
 
 def sequential_closure(g: Graph, colored):
@@ -116,16 +116,18 @@ def random_graph(rng: random.Random, n, p=0.4, max_degree=None):
     return g
 
 
-def objective_gradient_errors(nprng, pool, points=100, h=1e-5):
-    """Vector-relative distance between the gradient `_objective` returns and
-    central finite differences of its value, at `points` random points.
+def eigenvalue_gradient_errors(nprng, pool, points=100, h=1e-5):
+    """Vector-relative distance between the diagonal rows (i, i) of the
+    Jacobian `_jacobian` returns for the selected eigenvectors and central
+    finite differences of the selected eigenvalues lambda_i, at `points`
+    random points.
 
-    The target is drawn from 1..n.  A point is skipped where the objective is
-    not smooth: two eigenvalues within 1e-3, or the target-th and
-    (target+1)-th smallest |eigenvalues| within 1e-3.  Every second point has
-    one edge weight of magnitude in [2e-4, 8e-4], below the pattern floor
-    of 0.05 * max(1, ||A||_F), so both the penalty and the floor's
-    dependence on ||A||_F are checked.
+    The target is drawn from 1..n, and the selected eigenvalues are the
+    target smallest in absolute value, as in the Newton step.  A point is
+    skipped where they are not smooth: two eigenvalues within 1e-3, or the
+    target-th and (target+1)-th smallest |eigenvalues| within 1e-3.  The
+    perturbed eigenvalues are matched by ascending position, which is stable
+    under steps of h when no two eigenvalues lie within 1e-3.
     """
     errors = []
     while len(errors) < points:
@@ -133,27 +135,25 @@ def objective_gradient_errors(nprng, pool, points=100, h=1e-5):
         ends, m = edge_ends(g), len(g.edges)
         diag = nprng.uniform(-1, 1, g.n)
         w = nprng.uniform(0.5, 1.5, m) * nprng.choice([-1.0, 1.0], m)
-        if len(errors) % 2:
-            i = nprng.integers(m)
-            w[i] = np.copysign(nprng.uniform(2e-4, 8e-4), w[i])
         target = int(nprng.integers(1, g.n + 1))
-        vals = np.linalg.eigvalsh(assemble(ends, diag, w))
+        vals, vecs = np.linalg.eigh(assemble(ends, diag, w))
         by_abs = np.sort(np.abs(vals))
         if np.min(np.diff(vals)) < 1e-3:
             continue
         if target < g.n and by_abs[target] - by_abs[target - 1] < 1e-3:
             continue
+        selected = np.argsort(np.abs(vals))[:target]
+        i, j = np.triu_indices(target)
+        analytic = _jacobian(ends, vecs[:, selected])[i == j]
         x = np.concatenate([diag, w])
-        _, gd, gw = _objective(ends, diag, w, target)
-        fd = np.empty(len(x))
-        for j in range(len(x)):
+        fd = np.empty(analytic.shape)
+        for c in range(len(x)):
             xp, xm = x.copy(), x.copy()
-            xp[j] += h
-            xm[j] -= h
-            fp = _objective(ends, xp[: g.n], xp[g.n :], target)[0]
-            fm = _objective(ends, xm[: g.n], xm[g.n :], target)[0]
-            fd[j] = (fp - fm) / (2 * h)
-        analytic = np.concatenate([gd, gw])
+            xp[c] += h
+            xm[c] -= h
+            fp = np.linalg.eigvalsh(assemble(ends, xp[: g.n], xp[g.n :]))[selected]
+            fm = np.linalg.eigvalsh(assemble(ends, xm[: g.n], xm[g.n :]))[selected]
+            fd[:, c] = (fp - fm) / (2 * h)
         errors.append(np.linalg.norm(fd - analytic) / max(1.0, np.linalg.norm(fd)))
     return errors
 

@@ -14,7 +14,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from conftest import objective_gradient_errors, random_graph, sequential_closure
+from conftest import eigenvalue_gradient_errors, random_graph, sequential_closure
 from zfpaths.chains import chains_for, check_order_lemmas
 from zfpaths.drawing import (
     StandardDrawing,
@@ -179,8 +179,8 @@ def test_criterion_6_property_suite(rng):
             g = random_graph(rng, rng.randint(1, 9))
             start = rng.sample(range(g.n), rng.randint(0, g.n))
             assert closure(g, start).derived == sequential_closure(g, start)
-        # objective gradient vs central finite differences, 100 points
-        errors = objective_gradient_errors(
+        # eigenvalue rows of the Newton Jacobian vs central finite differences, 100 points
+        errors = eigenvalue_gradient_errors(
             np.random.default_rng(2024), enumerate_connected_subcubic(6)
         )
         assert len(errors) == 100 and max(errors) <= 1e-5

@@ -104,14 +104,20 @@ def test_nullity_not_achieved(capsys):
 
 
 def test_nullity_counts_restarts_that_left_the_pattern(capsys):
-    # the scale-relative floor keeps every figure-8 target-3 restart inside
-    # the pattern, where f cannot reach 0, so each one ends by the stall stop
+    # figure-8 target-3 restarts diverge, so each one stalls short of the
+    # zero threshold; K4 target-4 restarts converge to the zero matrix, so
+    # each one reaches it with every weight below the floor
     argv = ["nullity", "fig8:1,1,1,1,1", "--target", "3", "--budget", "2x2000", "--seed", "2024"]
     code, out, err = run_cli(capsys, *argv)
     assert code == 0
     payload = json.loads(out)
     assert payload["best_k"] == 0 and payload["left_pattern"] == 0 and payload["stalled"] == 2
-    assert "of 2 restarts, 0 ended with an edge weight below the pattern minimum and 2 stalled" in err
+    assert "of 2 restarts, 2 stalled short of the zero threshold and 0 reached it below" in err
+    code, out, err = run_cli(capsys, "nullity", "K4", "--target", "4", "--budget", "2x2000")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["best_k"] == 0 and payload["left_pattern"] == 2 and payload["stalled"] == 0
+    assert "of 2 restarts, 0 stalled short of the zero threshold and 2 reached it below" in err
 
 
 def test_search_draw(capsys):

@@ -2,12 +2,13 @@ import itertools
 import json
 import math
 import random
+import warnings
 
 import numpy as np
 import pytest
 
 import zfpaths.nullity as nullity
-from conftest import objective_gradient_errors
+from conftest import eigenvalue_gradient_errors
 from zfpaths.errors import ContractError, NumericalFailureError, UnsupportedSizeError
 from zfpaths.forcing import forcing_number
 from zfpaths.graphs import (
@@ -20,15 +21,14 @@ from zfpaths.graphs import (
     path_graph,
 )
 from zfpaths.nullity import (
-    _CLUSTER_REL,
-    _FLOOR_REL,
-    _PENALTY,
+    _CONVERGED,
+    _FLOOR_CERTIFY,
     TOL_ZERO,
     Classification,
     NotAchieved,
     NullityCertificate,
     PatternMatrix,
-    _objective,
+    _jacobian,
     assemble,
     certificate_from_json_obj,
     certify,
@@ -130,46 +130,33 @@ def test_spectrum_size_cap():
 
 
 def test_eigenvalue_gradient_matches_finite_differences():
-    errors = objective_gradient_errors(
+    errors = eigenvalue_gradient_errors(
         np.random.default_rng(42), enumerate_connected_subcubic(6)
     )
     assert len(errors) == 100 and max(errors) <= 1e-5
 
 
-def _objective_by_loops(g, diag, weights, target):
-    """The objective one eigenpair and one edge at a time, as a reference."""
-    a = assemble(edge_ends(g), diag, weights)
-    vals, vecs = np.linalg.eigh(a)
-    scale = max(1.0, np.linalg.norm(a))
-    clusters = [[0]]
-    for i in range(1, g.n):
-        if vals[i] - vals[i - 1] < _CLUSTER_REL * scale:
-            clusters[-1].append(i)
-        else:
-            clusters.append([i])
-    f, grad = 0.0, np.zeros((g.n, g.n))
-    for i in np.argsort(np.abs(vals))[:target]:
-        cl = next(c for c in clusters if i in c)
-        f += vals[i] ** 2
-        grad += 2 * vals[i] * sum(np.outer(vecs[:, j], vecs[:, j]) for j in cl) / len(cl)
-    grad_d = np.diag(grad).copy()
-    grad_w = np.array([2 * grad[u, v] for u, v in g.edges])
-    shorts = [max(_FLOOR_REL * scale - abs(w), 0.0) for w in weights]
-    for i, (short, w) in enumerate(zip(shorts, weights)):
-        f += _PENALTY * short**2
-        grad_w[i] -= 2 * _PENALTY * short * math.copysign(1.0, w)
-    if scale > 1:
-        # the floor moves with scale = ||A||_F, whose derivative in entry a_ij is a_ij / scale
-        pull = 2 * _PENALTY * _FLOOR_REL * sum(shorts) / scale
-        for i in range(g.n):
-            grad_d[i] += pull * a[i, i]
-        for i, (u, v) in enumerate(g.edges):
-            grad_w[i] += pull * (a[u, v] + a[v, u])
-    return f, grad_d, grad_w
+def _jacobian_by_loops(g, vecs):
+    """d(V^T A V)_ij / dx one eigenvector pair and one coordinate at a time:
+    coordinate c of x = (diag, weights) moves A by the matrix that
+    `assemble` builds from the unit vector e_c, so its column is
+    V[:, i]^T E_c V[:, j]."""
+    ends, n, t = edge_ends(g), g.n, vecs.shape[1]
+    rows = []
+    for i in range(t):
+        for j in range(i, t):
+            row = []
+            for c in range(n + len(g.edges)):
+                unit = np.zeros(n + len(g.edges))
+                unit[c] = 1.0
+                row.append(vecs[:, i] @ assemble(ends, unit[:n], unit[n:]) @ vecs[:, j])
+            rows.append(row)
+    return np.array(rows)
 
 
-def test_objective_matches_loop_reference():
-    # covers what finite differences cannot: clusters of equal eigenvalues
+def test_jacobian_matches_loop_reference():
+    # covers what finite differences cannot: off-diagonal pairs, and clusters
+    # of equal eigenvalues, whose eigenvectors are any basis of the cluster
     nprng = np.random.default_rng(7)
     pool = list(enumerate_connected_subcubic(6)) + [cycle_graph(4), complete_graph(4)]
     for t in range(200):
@@ -179,13 +166,12 @@ def test_objective_matches_loop_reference():
         w = nprng.uniform(0.5, 1.5, m) * nprng.choice([-1.0, 1.0], m)
         if t % 2:  # unit patterns with a constant diagonal have repeated eigenvalues
             diag, w = np.full(g.n, float(nprng.integers(-1, 2))), np.sign(w)
-        if t % 3 == 0:
-            w[nprng.integers(m)] = nprng.uniform(-2e-3, 2e-3)
+        vals, vecs = np.linalg.eigh(assemble(edge_ends(g), diag, w))
         target = int(nprng.integers(1, g.n + 1))
-        got = _objective(edge_ends(g), diag, w, target)
-        want = _objective_by_loops(g, diag, w, target)
-        for x, y in zip(got, want):
-            assert np.allclose(x, y, rtol=1e-12, atol=1e-12)
+        v = vecs[:, np.argsort(np.abs(vals))[:target]]
+        got = _jacobian(edge_ends(g), v)
+        assert got.shape == (target * (target + 1) // 2, g.n + m)
+        assert np.allclose(got, _jacobian_by_loops(g, v), rtol=1e-12, atol=1e-12)
 
 
 # -- the optimizer ----------------------------------------------------------------------
@@ -211,37 +197,81 @@ def test_maximize_nullity_k4_target_three():
     assert result.k == 3
 
 
+def _converged(a, target):
+    """Every one of the target smallest |eigenvalues| of a lies below the
+    threshold at which a Newton restart stops."""
+    by_abs = np.sort(np.abs(np.linalg.eigvalsh(a)))
+    return by_abs[target - 1] < _CONVERGED * TOL_ZERO * max(1.0, np.linalg.norm(a))
+
+
 @pytest.mark.parametrize("g, target", [(complete_graph(4), 3), (cycle_graph(4), 2)])
-def test_restart_ends_at_the_certify_threshold(monkeypatch, g, target):
-    # the iterate current at each new search direction, plus the last one
-    # evaluated, are exactly the iterates the line search accepted
-    evaluated, accepted, returned = [], [], []
-    objective, direction, descent = nullity._objective, nullity._lbfgs_direction, nullity._descent
+def test_restart_ends_at_the_convergence_threshold(monkeypatch, g, target):
+    # each Newton step assembles its iterate once, so the matrices assembled
+    # inside a restart are its iterates in order
+    iterates, returned = [], []
+    assemble_, descent = nullity.assemble, nullity._descent
 
-    def record_objective(ends, diag, weights, target):
-        out = objective(ends, diag, weights, target)
-        evaluated.append((out[0], np.concatenate([diag, weights])))
-        return out
-
-    def record_direction(grad, pairs):
-        accepted.append(evaluated[-1][0])
-        return direction(grad, pairs)
+    def record_assemble(ends, diag, weights):
+        iterates[-1].append(assemble_(ends, diag, weights))
+        return iterates[-1][-1]
 
     def record_descent(*args):
+        iterates.append([])
+        monkeypatch.setattr(nullity, "assemble", record_assemble)
         returned.append(descent(*args))
+        monkeypatch.setattr(nullity, "assemble", assemble_)
         return returned[-1]
 
-    monkeypatch.setattr(nullity, "_objective", record_objective)
-    monkeypatch.setattr(nullity, "_lbfgs_direction", record_direction)
     monkeypatch.setattr(nullity, "_descent", record_descent)
     result = maximize_nullity(g, target, budget=(10, 1000), seed=1)
     assert isinstance(result, NullityCertificate) and result.k == target
     assert len(returned) == 1  # certified on restart 1
-    diag, weights, stalled = returned[0]
-    f_last, x_last = evaluated[-1]
-    assert not stalled and np.array_equal(np.concatenate([diag, weights]), x_last)
-    assert f_last < TOL_ZERO**2
-    assert all(f >= TOL_ZERO**2 for f in accepted)
+    diag, weights, converged = returned[0]
+    assert converged and len(iterates[0]) > 1
+    assert np.array_equal(assemble_(edge_ends(g), diag, weights), iterates[0][-1])
+    assert _converged(iterates[0][-1], target)
+    assert not any(_converged(a, target) for a in iterates[0][:-1])
+
+
+def test_diverging_restarts_raise_no_warning():
+    # every figure-8 target-3 restart runs ||A||_F past the divergence stop;
+    # the stop comes before any product can overflow
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        result = maximize_nullity(fig8_graph((1, 1, 1, 1, 1)), 3, budget=(50, 2000), seed=2024)
+    assert isinstance(result, NotAchieved)
+    assert result.stalled + result.left_pattern == result.restarts
+
+
+def test_hard_floor_refuses_a_near_boundary_iterate_that_certify_accepts(monkeypatch):
+    # a nullity-3 matrix of the figure-8 graph minus edge e, scaled by 1e12,
+    # with weight 1 on e: a pattern matrix of the figure-8 graph, which has
+    # M = 2, yet its three smallest eigenvalues are below certify's threshold
+    g = fig8_graph((1, 1, 1, 1, 1))
+    e = g.edges[0]
+    tree = maximize_nullity(Graph(g.n, [f for f in g.edges if f != e]), 3, seed=0)
+    weights = {f: 1e12 * w for f, w in tree.matrix.weights.items()}
+    weights[e] = 1.0
+    forged = PatternMatrix(host=g, diag=tuple(1e12 * d for d in tree.matrix.diag), weights=weights)
+    assert certify(forged, 3).k == 3
+    diag = np.array(forged.diag)
+    edge_weights = np.array([weights[f] for f in g.edges])
+    monkeypatch.setattr(nullity, "_descent", lambda *args: (diag, edge_weights, True))
+    result = maximize_nullity(g, 3, budget=(1, 2000))
+    assert result == NotAchieved(target=3, best_k=0, restarts=1, left_pattern=1, stalled=0)
+
+
+def test_reach_certificates_sit_above_the_hard_floor():
+    # the criterion-4 reach runs on the F = 3 graphs with n <= 7
+    for n in range(4, 8):
+        for g in enumerate_connected_subcubic(n):
+            if forcing_number(g)[0] != 3:
+                continue
+            cert = maximize_nullity(g, classify(g).m, budget=(50, 2000), seed=2024)
+            assert isinstance(cert, NullityCertificate), g.edges
+            a = cert.matrix.as_array()
+            floor = _FLOOR_CERTIFY * max(1.0, np.linalg.norm(a))
+            assert min(abs(w) for w in cert.matrix.weights.values()) >= floor, g.edges
 
 
 def test_all_ones_matrix_certifies_k4():
