@@ -37,8 +37,6 @@ from .nullity import (
     classify,
     is_figure8,
     maximize_nullity,
-    nullity_of,
-    spectrum,
 )
 from .harness import SuiteReport, run_suite
 

@@ -230,9 +230,10 @@ def _heads_only(cs: ChainSet, found, kind):
     return found
 
 
-def _bad(cs: ChainSet):
-    """{bad vertex: (j, a)}: a is the first of its two non-consecutive
-    neighbors in chain j, the lowest such non-trivial chain."""
+def bad_vertices(cs: ChainSet):
+    """{bad vertex: (j, a)} over the vertices of a non-trivial chain with two
+    non-consecutive neighbors in another non-trivial chain j; a is the first
+    of them, in the lowest such chain j."""
     index = cs.index
     found = {}
     for i, j in itertools.permutations(cs.nontrivial(), 2):
@@ -244,9 +245,11 @@ def _bad(cs: ChainSet):
     return _heads_only(cs, found, "bad")
 
 
-def _unfavorite(cs: ChainSet):
-    """{unfavorite vertex: (j, a)}: a is its neighbor in chain j in the first
-    fan inversion found, over chain pairs (j, k) in lexicographic order."""
+def unfavorite_vertices(cs: ChainSet):
+    """{unfavorite vertex: (j, a)} over the vertices with cross neighbors in
+    two other non-trivial chains j and k witnessed by a later/earlier segment
+    between those chains; a is the neighbor in chain j of the first such fan
+    inversion found, over chain pairs (j, k) in lexicographic order."""
     index = cs.index
     nontrivial = cs.nontrivial()
     found = {}
@@ -258,18 +261,6 @@ def _unfavorite(cs: ChainSet):
                     if fan:
                         found[x] = (j, fan[0])
     return _heads_only(cs, found, "unfavorite")
-
-
-def bad_vertices(cs: ChainSet):
-    """Vertices of a non-trivial chain with two non-consecutive neighbors in
-    another non-trivial chain."""
-    return frozenset(_bad(cs))
-
-
-def unfavorite_vertices(cs: ChainSet):
-    """Vertices with cross neighbors in two other non-trivial chains witnessed
-    by a later/earlier segment between those chains."""
-    return frozenset(_unfavorite(cs))
 
 
 # -- repair rewrites --------------------------------------------------------
@@ -307,13 +298,13 @@ def eliminate_bad(cs: ChainSet) -> ChainSet:
         raise UnsupportedInputError("bad-vertex repair needs maximum degree <= 3")
     if len(cs.origin) != 3:
         raise UnsupportedInputError("bad-vertex repair is proved only for three chains")
-    current, bad = cs, _bad(cs)
+    current, bad = cs, bad_vertices(cs)
     while bad:
         x = min(bad)
         j, a = bad[x]
         third = [c for k, c in enumerate(current.chains) if k not in (current.index.owner[x], j)]
         rewritten = _head_rewrite(current, x, j, a)
-        after = _bad(rewritten)
+        after = bad_vertices(rewritten)
         if len(after) < len(bad):
             current, bad = rewritten, after
             continue
@@ -324,7 +315,7 @@ def eliminate_bad(cs: ChainSet) -> ChainSet:
         if z not in after:
             raise InternalLogicError("bad count failed to drop yet third head is not bad")
         second = _head_rewrite(rewritten, z, *after[z])
-        after = _bad(second)
+        after = bad_vertices(second)
         if len(after) >= len(bad):
             raise InternalLogicError("two-stage rewrite did not decrease the bad count")
         current, bad = second, after
@@ -337,15 +328,15 @@ def eliminate_unfavorite(cs: ChainSet) -> ChainSet:
         raise UnsupportedInputError("unfavorite repair needs maximum degree <= 3")
     if len(cs.origin) != 3:
         raise UnsupportedInputError("unfavorite repair is proved only for three chains")
-    if _bad(cs):
+    if bad_vertices(cs):
         raise ContractError("unfavorite repair requires a chain set with no bad vertex")
-    current, unfav = cs, _unfavorite(cs)
+    current, unfav = cs, unfavorite_vertices(cs)
     while unfav:
         x = min(unfav)
         rewritten = _head_rewrite(current, x, *unfav[x])
-        if _bad(rewritten):
+        if bad_vertices(rewritten):
             raise InternalLogicError("unfavorite rewrite introduced a bad vertex")
-        after = _unfavorite(rewritten)
+        after = unfavorite_vertices(rewritten)
         if len(after) >= len(unfav):
             raise InternalLogicError("unfavorite rewrite did not decrease the count")
         current, unfav = rewritten, after
@@ -355,29 +346,17 @@ def eliminate_unfavorite(cs: ChainSet) -> ChainSet:
 # -- order lemmas -----------------------------------------------------------
 
 
-@dataclass
-class OrderLemmaReport:
-    violations: list
-
-    @property
-    def passed(self):
-        return not self.violations
-
-    def by_lemma(self):
-        out = {"no_inverting_pair": True, "no_inverting_triple": True}
-        for name, _ in self.violations:
-            out[name] = False
-        return out
-
-
-def check_order_lemmas(cs: ChainSet) -> OrderLemmaReport:
-    """Exhaustive scans of the two chain-order facts; failures indicate bugs.
+def check_order_lemmas(cs: ChainSet) -> list:
+    """Exhaustive scans of the two chain-order facts; violations indicate bugs.
 
     Checked facts: segments between a chain pair never invert, and the
-    three-chain mixed configuration never inverts either.  That a cross
-    neighbor of a forcing vertex is colored before the vertex it forces is
-    what `invalid_links` checks when the chains are extracted, and what
-    `sequentially_realizable` checks on every chain set.
+    three-chain mixed configuration never inverts either.  Returns the
+    violations, each ("no_inverting_pair", (u, v, u2, v2)) or
+    ("no_inverting_triple", (a, b, c, d, x, y)); the list is empty when
+    both facts hold.  That a cross neighbor of a forcing vertex is colored
+    before the vertex it forces is what `invalid_links` checks when the
+    chains are extracted, and what `sequentially_realizable` checks on every
+    chain set.
     """
     violations = []
     index = cs.index
@@ -387,4 +366,4 @@ def check_order_lemmas(cs: ChainSet) -> OrderLemmaReport:
         violations.extend(("no_inverting_pair", w) for w in index.inverting_pairs(i, j))
     for i, j, k in itertools.permutations(range(count), 3):
         violations.extend(("no_inverting_triple", w) for w in index.inverting_triples(i, j, k))
-    return OrderLemmaReport(violations=violations)
+    return violations

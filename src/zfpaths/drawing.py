@@ -17,6 +17,7 @@ verifies whatever it is given, because a drawing may come from elsewhere.
 from __future__ import annotations
 
 import itertools
+import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import ceil, floor, gcd, lcm
@@ -445,7 +446,7 @@ def render(d: StandardDrawing, fmt="json"):
     if not report.ok:
         raise ContractError(f"refusing to render an invalid drawing: {report.violations[:3]}")
     if fmt == "json":
-        return _render_json(d)
+        return json.dumps(drawing_to_json_obj(d))
     if fmt == "svg":
         return _render_svg(d)
     if fmt == "dot":
@@ -471,12 +472,6 @@ def drawing_from_json_obj(obj) -> StandardDrawing:
         num, den = val.split("/")
         x[int(key)] = Fraction(int(num), int(den))
     return StandardDrawing(rows=rows, x=x, host=host)
-
-
-def _render_json(d):
-    import json
-
-    return json.dumps(drawing_to_json_obj(d))
 
 
 _PX_STEP = 40

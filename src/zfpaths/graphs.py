@@ -71,17 +71,7 @@ class Graph:
     # -- structure -------------------------------------------------------
 
     def is_connected(self):
-        if self.n <= 1:
-            return True
-        seen = 1
-        frontier = 1
-        while frontier:
-            nxt = 0
-            for u in _mask_bits(frontier):
-                nxt |= self._adj[u]
-            frontier = nxt & ~seen
-            seen |= nxt
-        return seen == (1 << self.n) - 1
+        return len(self.components()) <= 1
 
     def components(self):
         """Vertex sets of connected components, each sorted, ordered by minimum."""
@@ -231,14 +221,21 @@ def encode_graph6(g):
 
 
 def read_graph6_file(path):
-    """Graphs from a file with one graph6 record per line; '#' lines are comments."""
+    """Graphs from a file with one graph6 record per line; '#' lines are comments.
+
+    A non-ASCII byte anywhere raises GraphFormatError with its line number.
+    """
+    with open(path, "rb") as fh:
+        lines = fh.read().splitlines()
     graphs = []
-    with open(path, "r", encoding="ascii") as fh:
-        for line in fh:
-            line = line.rstrip("\n").rstrip("\r")
-            if not line or line.startswith("#"):
-                continue
-            graphs.append(parse_graph6(line))
+    for lineno, raw in enumerate(lines, 1):
+        try:
+            line = raw.decode("ascii")
+        except UnicodeDecodeError as exc:
+            raise GraphFormatError(f"non-ASCII byte on line {lineno}", offset=exc.start) from None
+        if not line or line.startswith("#"):
+            continue
+        graphs.append(parse_graph6(line))
     return graphs
 
 

@@ -143,25 +143,6 @@ def jacobi_eigenvalues(a):
     return np.sort([a[i][i] for i in range(n)])
 
 
-def _eigenvalues_and_scale(a: PatternMatrix):
-    """Ascending Jacobi eigenvalues and the zero threshold's scale max(1, ||A||_F)."""
-    if a.host.n > _SPECTRUM_CAP:
-        raise UnsupportedSizeError(f"spectrum capped at n = {_SPECTRUM_CAP}")
-    arr = a.as_array()
-    return jacobi_eigenvalues(arr), max(1.0, float(np.linalg.norm(arr)))
-
-
-def spectrum(a: PatternMatrix):
-    """All eigenvalues in ascending order."""
-    return tuple(_eigenvalues_and_scale(a)[0])
-
-
-def nullity_of(a: PatternMatrix):
-    """Count of eigenvalues below the relative zero threshold TOL_ZERO * max(1, ||A||_F)."""
-    vals, scale = _eigenvalues_and_scale(a)
-    return sum(1 for lam in vals if abs(lam) < TOL_ZERO * scale)
-
-
 # -- nullity maximization -----------------------------------------------------
 
 _OPT_CAP = 32
@@ -176,7 +157,6 @@ class NullityCertificate:
     matrix: PatternMatrix
     k: int
     eigenvalues: tuple  # sorted by absolute value
-    tol_zero: float
     gap: float
 
     def to_json_obj(self):
@@ -219,8 +199,11 @@ def certify(pm: PatternMatrix, target):
     """
     if not 1 <= target <= pm.host.n:
         raise ContractError(f"target must lie in 1..{pm.host.n}, got {target}")
-    vals, scale = _eigenvalues_and_scale(pm)
-    by_abs = sorted(vals, key=abs)
+    if pm.host.n > _SPECTRUM_CAP:
+        raise UnsupportedSizeError(f"spectrum capped at n = {_SPECTRUM_CAP}")
+    arr = pm.as_array()
+    scale = max(1.0, float(np.linalg.norm(arr)))
+    by_abs = sorted(jacobi_eigenvalues(arr), key=abs)
     k = sum(1 for lam in by_abs if abs(lam) < TOL_ZERO * scale)
     if not 1 <= k <= target:
         return None
@@ -230,9 +213,7 @@ def certify(pm: PatternMatrix, target):
     if pm.host.max_degree() <= 3 and pm.host.n <= _MG_CHECK_CAP:
         if k > forcing_number(pm.host)[0]:
             return None
-    return NullityCertificate(
-        matrix=pm, k=k, eigenvalues=tuple(by_abs), tol_zero=TOL_ZERO, gap=gap
-    )
+    return NullityCertificate(matrix=pm, k=k, eigenvalues=tuple(by_abs), gap=gap)
 
 
 def _frobenius(diag, weights):
@@ -240,14 +221,14 @@ def _frobenius(diag, weights):
     return math.sqrt(diag @ diag + 2.0 * (weights @ weights))
 
 
-def _jacobian(ends, vecs):
-    """d(V^T A V)_ij / dx for the pairs i <= j of V's columns, in
-    np.triu_indices order, over x = (diag, weights): diagonal entry p
-    contributes V[p,i] V[p,j], and edge (u, v), which occupies two symmetric
-    entries, V[u,i] V[v,j] + V[v,i] V[u,j].  At an eigenvector pair the
-    diagonal rows are the gradients of the eigenvalues."""
+def _jacobian(ends, vecs, pairs):
+    """d(V^T A V)_ij / dx for the pairs (i, j) of V's columns, given as the
+    index arrays of np.triu_indices(V.shape[1]), over x = (diag, weights):
+    diagonal entry p contributes V[p,i] V[p,j], and edge (u, v), which
+    occupies two symmetric entries, V[u,i] V[v,j] + V[v,i] V[u,j].  At an
+    eigenvector pair the diagonal rows are the gradients of the eigenvalues."""
     us, vs = ends
-    i, j = np.triu_indices(vecs.shape[1])
+    i, j = pairs
     vi, vj = vecs[:, i], vecs[:, j]
     return np.concatenate([vi * vj, vi[us] * vj[vs] + vi[vs] * vj[us]]).T
 
@@ -266,6 +247,7 @@ def _descent(ends, diag, weights, target, iters):
     """
     n = len(diag)
     x = np.concatenate([diag, weights])
+    pairs = i, j = np.triu_indices(target)
     for _ in range(iters):
         norm = _frobenius(x[:n], x[n:])
         if not norm <= _DIVERGED:  # also catches nan
@@ -275,10 +257,9 @@ def _descent(ends, diag, weights, target, iters):
         selected = np.argsort(np.abs(vals))[:target]
         if np.all(np.abs(vals[selected]) < _CONVERGED * TOL_ZERO * scale):
             return x[:n], x[n:], True
-        i, j = np.triu_indices(target)
         floor = _FLOOR_REL * scale
         low = n + np.flatnonzero(np.abs(x[n:]) < floor)
-        rows = np.concatenate([_jacobian(ends, vecs[:, selected]), np.eye(len(x))[low]])
+        rows = np.concatenate([_jacobian(ends, vecs[:, selected], pairs), np.eye(len(x))[low]])
         rhs = np.concatenate([
             np.where(i == j, -vals[selected][i], 0.0),
             np.copysign(1.05 * floor, x[low]) - x[low],
@@ -336,18 +317,15 @@ def maximize_nullity(g: Graph, target, budget=(50, 2000), seed=0):
 
 
 def is_figure8(g: Graph):
-    """Detect a 5-cycle whose every vertex carries one pendant path.
+    """Whether g is a 5-cycle whose every vertex carries one pendant path.
 
     Such a graph is connected with as many edges as vertices, so it has one
     cycle, which is what remains after leaves are peeled until none are left.
     That core must be 5 vertices of degree 3, and every peeled vertex must
     have degree at most 2, so that each cycle vertex carries one path.
-    Returns (flag, decomposition): the cycle starts at its smallest vertex and
-    goes first to the smaller of its cycle neighbours, and the paths follow
-    the cycle order, each read outwards from the cycle.
     """
     if g.edge_count != g.n or not g.is_connected():
-        return False, None
+        return False
     left = [g.degree(v) for v in range(g.n)]  # degree among unpeeled vertices
     leaves = [v for v in range(g.n) if left[v] == 1]
     while leaves:
@@ -360,21 +338,8 @@ def is_figure8(g: Graph):
                     leaves.append(w)
     core = [v for v in range(g.n) if left[v]]
     if len(core) != 5 or any(g.degree(v) != 3 for v in core):
-        return False, None
-    if any(g.degree(v) > 2 for v in range(g.n) if not left[v]):
-        return False, None
-    cycle = [core[0], min(w for w in g.neighbors(core[0]) if left[w])]
-    while len(cycle) < 5:
-        cycle.append(next(w for w in g.neighbors(cycle[-1]) if left[w] and w != cycle[-2]))
-    paths = []
-    for c in cycle:
-        prev, cur = c, next(w for w in g.neighbors(c) if not left[w])
-        path = [cur]
-        while g.degree(cur) == 2:
-            prev, cur = cur, next(w for w in g.neighbors(cur) if w != prev)
-            path.append(cur)
-        paths.append(tuple(path))
-    return True, {"cycle": tuple(cycle), "paths": tuple(paths)}
+        return False
+    return all(g.degree(v) <= 2 for v in range(g.n) if not left[v])
 
 
 # -- classification ------------------------------------------------------------
@@ -406,7 +371,6 @@ def classify(g: Graph) -> Classification:
         return Classification(tag=TAG_PATH, f=f, m=1)
     if f == 2:
         return Classification(tag=TAG_TWO, f=f, m=2)
-    flag, _ = is_figure8(g)
-    if flag:
+    if is_figure8(g):
         return Classification(tag=TAG_FIG8, f=f, m=2)
     return Classification(tag=TAG_THREE, f=f, m=3)

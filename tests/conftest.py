@@ -143,8 +143,8 @@ def eigenvalue_gradient_errors(nprng, pool, points=100, h=1e-5):
         if target < g.n and by_abs[target] - by_abs[target - 1] < 1e-3:
             continue
         selected = np.argsort(np.abs(vals))[:target]
-        i, j = np.triu_indices(target)
-        analytic = _jacobian(ends, vecs[:, selected])[i == j]
+        i, j = pairs = np.triu_indices(target)
+        analytic = _jacobian(ends, vecs[:, selected], pairs)[i == j]
         x = np.concatenate([diag, w])
         fd = np.empty(analytic.shape)
         for c in range(len(x)):

@@ -95,40 +95,42 @@ def test_bad_vertices_on_trees_empty(rng):
             if g.edge_count != g.n - 1:
                 continue
             k, wit = forcing_number(g)
-            assert bad_vertices(chains_for(g, wit)) == frozenset()
+            assert bad_vertices(chains_for(g, wit)) == {}
 
 
 def test_bad_vertices_k4_single_nontrivial_chain():
-    assert bad_vertices(chains_for(complete_graph(4), [0, 1, 2])) == frozenset()
+    assert bad_vertices(chains_for(complete_graph(4), [0, 1, 2])) == {}
 
 
 def test_bad_vertex_detected():
     cs = chains_for(BAD_EXAMPLE, [0, 4])
     assert list(cs.chains) == [(0, 1, 2, 3), (4, 5)]
-    assert bad_vertices(cs) == {4}
+    # the first of 4's non-consecutive neighbors 1 and 3 on chain 0
+    assert bad_vertices(cs) == {4: (0, 1)}
 
 
 def test_bad_vertex_split_across_a_third_chain():
     # 0 meets the chain (4, 5, 6) at positions 0 and 2
     g = Graph(7, [(0, 1), (2, 3), (4, 5), (5, 6), (0, 4), (0, 6)])
-    assert bad_vertices(_hand_built(g, [(0, 1), (2, 3), (4, 5, 6)])) == {0}
+    assert bad_vertices(_hand_built(g, [(0, 1), (2, 3), (4, 5, 6)])) == {0: (2, 4)}
 
 
 def test_unfavorite_needs_three_nontrivial_chains():
-    assert unfavorite_vertices(chains_for(complete_graph(4), [0, 1, 2])) == frozenset()
+    assert unfavorite_vertices(chains_for(complete_graph(4), [0, 1, 2])) == {}
 
 
 def test_unfavorite_detected_in_witness_graph():
     cs = chains_for(FIG3_EXAMPLE, [0, 3, 6])
     assert list(cs.chains) == [(0, 1, 2), (3, 4, 5), (6, 7, 8)]
-    assert bad_vertices(cs) == frozenset()
-    assert unfavorite_vertices(cs) == {0}
+    assert bad_vertices(cs) == {}
+    # fan inversion 3-0-7 over the segment 4-6: 0 moves onto chain 1 after 3
+    assert unfavorite_vertices(cs) == {0: (1, 3)}
 
 
 def test_unfavorite_empty_without_witness_segment():
     g = Graph(9, [(0, 1), (1, 2), (3, 4), (4, 5), (6, 7), (7, 8), (0, 3), (0, 7)])
     cs = chains_for(g, [0, 3, 6])
-    assert unfavorite_vertices(cs) == frozenset()
+    assert unfavorite_vertices(cs) == {}
 
 
 # -- repairs ---------------------------------------------------------------------
@@ -142,9 +144,10 @@ def test_eliminate_bad_fixed_point_returns_same_object():
 def test_eliminate_bad_frozen_example():
     g = parse_graph6("EsXo")
     cs = chains_for(g, (0, 1, 2))
-    assert bad_vertices(cs) == {1}
+    # 1 moves onto chain (0, 3, 5) after its first neighbor there, 0
+    assert bad_vertices(cs) == {1: (0, 0)}
     fixed = eliminate_bad(cs)
-    assert bad_vertices(fixed) == frozenset()
+    assert bad_vertices(fixed) == {}
     assert sorted(fixed.origin) == [0, 2, 3]
     assert list(fixed.chains) == [(0, 1, 4), (2,), (3, 5)]
     assert is_forcing_set(g, fixed.origin)
@@ -161,11 +164,11 @@ def test_eliminate_bad_two_stage_rewrite():
     g = parse_graph6("FsP`g")
     cs = chains_for(g, forcing_number(g)[1])
     assert list(cs.chains) == [(0, 3, 6), (1, 4), (2, 5)]
-    assert bad_vertices(cs) == {2}
+    assert bad_vertices(cs) == {2: (0, 0)}
     fixed = eliminate_bad(cs)
     assert list(fixed.chains) == [(0, 1, 4), (2, 5), (3, 6)]
     assert sorted(fixed.origin) == [0, 2, 3]
-    assert bad_vertices(fixed) == frozenset()
+    assert bad_vertices(fixed) == {}
 
 
 def test_eliminate_bad_requires_three_chains():
@@ -182,8 +185,8 @@ def test_eliminate_unfavorite_requires_no_bad():
 def test_eliminate_unfavorite_on_witness_graph():
     cs = chains_for(FIG3_EXAMPLE, [0, 3, 6])
     fixed = eliminate_unfavorite(cs)
-    assert unfavorite_vertices(fixed) == frozenset()
-    assert bad_vertices(fixed) == frozenset()
+    assert unfavorite_vertices(fixed) == {}
+    assert bad_vertices(fixed) == {}
     assert list(fixed.chains) == [(3, 0, 1, 2), (4, 5), (6, 7, 8)]
     assert is_forcing_set(FIG3_EXAMPLE, fixed.origin)
 
@@ -195,7 +198,7 @@ def test_repair_may_need_a_different_force_schedule():
     g = parse_graph6("I?aQAHWGO")
     cs = chains_for(g, forcing_number(g)[1])
     fixed = eliminate_bad(cs)
-    assert bad_vertices(fixed) == frozenset()
+    assert bad_vertices(fixed) == {}
     assert list(fixed.chains) == [(0, 4), (2, 9, 7, 1, 6), (5, 3, 8)]
     assert sequentially_realizable(fixed)
     assert invalid_links(closure(g, fixed.origin), fixed.chains) == [(3, 8)]
@@ -211,13 +214,12 @@ def test_repair_pipeline_over_corpus():
                 continue
             cs = chains_for(g, wit)
             fixed = eliminate_unfavorite(eliminate_bad(cs))
-            assert bad_vertices(fixed) == frozenset()
-            assert unfavorite_vertices(fixed) == frozenset()
+            assert bad_vertices(fixed) == {}
+            assert unfavorite_vertices(fixed) == {}
             assert len(fixed.origin) == 3
             assert is_forcing_set(g, fixed.origin)
             assert sequentially_realizable(fixed)
-            report = check_order_lemmas(fixed)
-            assert report.passed, report.violations
+            assert check_order_lemmas(fixed) == []
 
 
 # -- order lemmas ----------------------------------------------------------------
@@ -227,32 +229,25 @@ def test_order_lemmas_pass_on_corpus():
     for n in range(1, 7):
         for g in enumerate_connected_subcubic(n):
             k, wit = forcing_number(g)
-            report = check_order_lemmas(chains_for(g, wit))
-            assert report.passed, report.violations
+            assert check_order_lemmas(chains_for(g, wit)) == []
 
 
 def test_order_lemmas_single_chain_vacuous():
-    report = check_order_lemmas(chains_for(path_graph(5), [0]))
-    assert report.passed
-    assert report.by_lemma() == {
-        "no_inverting_pair": True,
-        "no_inverting_triple": True,
-    }
+    assert check_order_lemmas(chains_for(path_graph(5), [0])) == []
 
 
 def test_order_lemmas_k4():
-    assert check_order_lemmas(chains_for(complete_graph(4), [0, 1, 2])).passed
+    assert check_order_lemmas(chains_for(complete_graph(4), [0, 1, 2])) == []
 
 
 def test_order_lemmas_flag_inverting_pair():
     g = Graph(4, [(0, 1), (2, 3), (0, 3), (1, 2)])
-    report = check_order_lemmas(_hand_built(g, [(0, 1), (2, 3)]))
-    assert ("no_inverting_pair", (0, 3, 1, 2)) in report.violations
-    assert report.by_lemma()["no_inverting_pair"] is False
+    violations = check_order_lemmas(_hand_built(g, [(0, 1), (2, 3)]))
+    assert violations == [("no_inverting_pair", (0, 3, 1, 2))]
 
 
 def test_order_lemmas_flag_inverting_triple():
     g = Graph(6, [(0, 1), (2, 3), (4, 5), (0, 3), (2, 5), (1, 4)])
-    report = check_order_lemmas(_hand_built(g, [(0, 1), (2, 3), (4, 5)]))
-    assert ("no_inverting_triple", (0, 3, 2, 5, 1, 4)) in report.violations
-    assert report.by_lemma()["no_inverting_triple"] is False
+    violations = check_order_lemmas(_hand_built(g, [(0, 1), (2, 3), (4, 5)]))
+    assert ("no_inverting_triple", (0, 3, 2, 5, 1, 4)) in violations
+    assert {name for name, _ in violations} == {"no_inverting_triple"}

@@ -239,3 +239,12 @@ def test_diff_missing_or_corrupt_file_is_io_error(capsys, tmp_path, content):
         code, out, err = run_cli(capsys, "diff", *argv)
         assert code == 2 and out == ""
         assert err.startswith("I/O error:")
+
+
+@pytest.mark.parametrize("argv", [("verify", "--corpus"), ("fnum",)])
+def test_non_ascii_corpus_file_is_a_format_error(capsys, tmp_path, argv):
+    corpus = tmp_path / "bad.g6"
+    corpus.write_bytes(b"C~\n\xc3\xa9\n")
+    code, out, err = run_cli(capsys, *argv, str(corpus))
+    assert code == 2 and out == ""
+    assert err.startswith("error: non-ASCII byte on line 2")

@@ -8,6 +8,7 @@ from zfpaths.cli import main
 from zfpaths.errors import NumericalFailureError, UnsupportedInputError
 from zfpaths.graphs import (
     canonical_form,
+    complete_graph,
     disjoint_union,
     encode_graph6,
     fig8_graph,
@@ -222,13 +223,26 @@ def test_all_checks_constant():
     assert set(ALL_CHECKS) == {"T_iff", "T_fmk", "C_ft", "P_left", "L_order", "E_bounds"}
 
 
+def test_records_carry_the_fields_the_benchmark_oracles_read(tmp_path):
+    # perfbench/run.py checks every record by these fields alone
+    fields = ("n", "f", "f_t", "tag", "m_certified", "drawing_ok", "violations", "skipped")
+    corpus = tmp_path / "two.g6"
+    corpus.write_text(f"{encode_graph6(complete_graph(4))}\n{encode_graph6(complete_graph(5))}\n")
+    report = run_suite(str(corpus), nullity_budget=(15, 800))
+    k4, k5 = sorted(report.records.values(), key=lambda rec: rec["n"])
+    # K5 is skipped for its degree
+    assert [tuple(rec[name] for name in fields) for rec in (k4, k5)] == [
+        (4, 3, 3, "ThreeParallel_FM3", 3, True, [], False),
+        (5, None, None, None, None, None, [], True),
+    ]
+
+
 def test_jsonl_lines_parse(tmp_path):
     out = tmp_path / "r.jsonl"
     run_suite(2, out_path=str(out), seed=0)
     for line in out.read_text().strip().splitlines():
         rec = json.loads(line)
-        assert {"graph", "n", "f", "f_t", "tag", "m_certified", "drawing_ok",
-                "lemma_checks", "timings"} <= set(rec)
+        assert {"graph", "n", "f", "f_t", "tag", "m_certified", "drawing_ok", "timings"} <= set(rec)
         if rec["f_t"] is not None:
             assert rec["f"] <= rec["f_t"] <= 2 * rec["f"]
         if rec["m_certified"] is not None:
