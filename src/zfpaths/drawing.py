@@ -1,24 +1,25 @@
-"""Standard drawings of parallel-path graphs with exact rational geometry.
+"""Standard drawings of parallel-path graphs with exact geometry.
 
 Rows are horizontal lines at integer heights (top row 0, increasing
-downward); every vertex gets a rational x coordinate.  Edges inside a row
-run along the row; edges between rows are straight segments.  A drawing is
-valid when no two segments intersect outside a shared endpoint and no
-segment passes through a third vertex.  All intersection tests use
-Fraction arithmetic; there is no tolerance anywhere.
+downward).  Edges inside a row run along the row; edges between rows are
+straight segments.  A drawing is valid when no two segments intersect
+outside a shared endpoint and no segment passes through a third vertex.
+Intersection tests are exact orientation signs, in int arithmetic on a
+realized drawing and Fraction arithmetic on a hand-built rational one.
 
 Coordinates come from one engine, `realize`, which either draws given rows
-or proves that no coordinates can: the three-row pipeline, drawings with
-one or two rows and the k-row search all call it.  `realize` verifies each
-drawing it returns, once, so its callers do not verify again; `render`
-verifies whatever it is given, because a drawing may come from elsewhere.
+on the smallest integer grid or proves that no coordinates can: the
+three-row pipeline, drawings with one or two rows and the k-row search all
+call it.  `realize` verifies each drawing it returns, once, so its callers
+do not verify again; `render` verifies whatever it is given, because a
+drawing may come from elsewhere.
 """
 
 from __future__ import annotations
 
 import itertools
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from math import ceil, floor, gcd, lcm
 
@@ -37,7 +38,7 @@ from .graphs import Graph, is_induced_path
 @dataclass(frozen=True)
 class StandardDrawing:
     rows: tuple  # tuple of vertex tuples, top to bottom
-    x: dict  # vertex -> Fraction
+    x: dict  # vertex -> int from `realize`; int or Fraction in a hand-built drawing
     host: Graph
 
     @property
@@ -49,15 +50,6 @@ class StandardDrawing:
             if v in row:
                 return i
         raise KeyError(v)
-
-
-@dataclass
-class DrawingReport:
-    violations: list = field(default_factory=list)
-
-    @property
-    def ok(self):
-        return not self.violations
 
 
 # -- exact geometry core ----------------------------------------------------
@@ -78,8 +70,8 @@ def _in_box(a, b, p):
 # -- drawing verification ---------------------------------------------------
 
 
-def verify_drawing(g: Graph, d: StandardDrawing) -> DrawingReport:
-    """Exact validity check: rows, order, and segment geometry.
+def verify_drawing(g: Graph, d: StandardDrawing) -> list:
+    """Exact validity check: the list of violations, empty when d is valid.
 
     The rows must partition the vertices into non-empty induced paths with x
     strictly increasing along each; otherwise the geometry is not examined.
@@ -89,30 +81,28 @@ def verify_drawing(g: Graph, d: StandardDrawing) -> DrawingReport:
     coincide; a segment that touches another, or two segments that leave a
     common end along one ray, put a vertex on a segment.
     """
-    report = DrawingReport()
     flat = [v for row in d.rows for v in row]
     if sorted(flat) != list(range(g.n)):
-        report.violations.append("rows do not partition the vertex set")
-        return report
+        return ["rows do not partition the vertex set"]
     missing = [v for v in flat if v not in d.x]
     if missing:
-        report.violations.append(f"vertices without x coordinate: {missing}")
-        return report
+        return [f"vertices without x coordinate: {missing}"]
+    violations = []
     row_index = {}
     for i, row in enumerate(d.rows):
         if not row:
-            report.violations.append(f"row {i} is empty")
+            violations.append(f"row {i} is empty")
         for v in row:
             row_index[v] = i
     for i, row in enumerate(d.rows):
         if not is_induced_path(g, row):
-            report.violations.append(f"row {i} {row} is not an induced path")
+            violations.append(f"row {i} {row} is not an induced path")
         for u, v in zip(row, row[1:]):
             if not d.x[u] < d.x[v]:
-                report.violations.append(f"x not increasing along row {i} at {u},{v}")
-    if report.violations:
-        return report
-    points = {v: (d.x[v], Fraction(row_index[v])) for v in flat}
+                violations.append(f"x not increasing along row {i} at {u},{v}")
+    if violations:
+        return violations
+    points = {v: (d.x[v], row_index[v]) for v in flat}
     segments = [(u, v) for u, v in g.edges if row_index[u] != row_index[v]]
     for (a1, b1), (a2, b2) in itertools.combinations(segments, 2):
         if {a1, b1} & {a2, b2}:
@@ -122,13 +112,13 @@ def verify_drawing(g: Graph, d: StandardDrawing) -> DrawingReport:
             _orient(p3, p4, p1) * _orient(p3, p4, p2) < 0
             and _orient(p1, p2, p3) * _orient(p1, p2, p4) < 0
         ):
-            report.violations.append(f"segments {a1}-{b1} and {a2}-{b2} cross")
+            violations.append(f"segments {a1}-{b1} and {a2}-{b2} cross")
     for a, b in segments:
         pa, pb = points[a], points[b]
         for w, pw in points.items():
             if w not in (a, b) and _orient(pa, pb, pw) == 0 and _in_box(pa, pb, pw):
-                report.violations.append(f"segment {a}-{b} passes through vertex {w}")
-    return report
+                violations.append(f"segment {a}-{b} passes through vertex {w}")
+    return violations
 
 
 def leftmost_set(d: StandardDrawing):
@@ -188,9 +178,9 @@ def realize(g: Graph, rows):
     else:
         return None
     drawing = _integer_grid(StandardDrawing(rows=rows, x=dict(enumerate(x)), host=g))
-    report = verify_drawing(g, drawing)
-    if not report.ok:
-        raise InternalLogicError(f"realized drawing failed verification: {report.violations[:3]}")
+    violations = verify_drawing(g, drawing)
+    if violations:
+        raise InternalLogicError(f"realized drawing failed verification: {violations[:3]}")
     return drawing
 
 
@@ -305,16 +295,16 @@ def _between(lo, hi):
 
 
 def _integer_grid(d: StandardDrawing) -> StandardDrawing:
-    """The drawing with x shifted so its least value is 0, then scaled onto the
-    smallest integer grid.  The map is affine with one positive scale on every
-    row, so it keeps every orientation sign, and with them the verdict of
-    `verify_drawing`."""
+    """The drawing with int x, shifted so its least value is 0, then scaled onto
+    the smallest integer grid.  The map is affine with one positive scale on
+    every row, so it keeps every orientation sign, and with them the verdict
+    of `verify_drawing`."""
     lo = min(d.x.values())
     scale = lcm(*(x.denominator for x in d.x.values()))
     ints = {v: int((x - lo) * scale) for v, x in d.x.items()}
     step = gcd(*ints.values()) or 1
     return StandardDrawing(
-        rows=d.rows, x={v: Fraction(val // step) for v, val in ints.items()}, host=d.host
+        rows=d.rows, x={v: val // step for v, val in ints.items()}, host=d.host
     )
 
 
@@ -441,17 +431,17 @@ def _row_structures(g: Graph, k):
 
 
 def render(d: StandardDrawing, fmt="json"):
-    """Serialize a verified drawing as svg, dot, or json text."""
-    report = verify_drawing(d.host, d)
-    if not report.ok:
-        raise ContractError(f"refusing to render an invalid drawing: {report.violations[:3]}")
+    """Serialize a verified drawing as svg, dot, or json text; svg and dot
+    put it on the smallest integer grid first, as `realize` already does."""
+    violations = verify_drawing(d.host, d)
+    if violations:
+        raise ContractError(f"refusing to render an invalid drawing: {violations[:3]}")
     if fmt == "json":
         return json.dumps(drawing_to_json_obj(d))
-    if fmt == "svg":
-        return _render_svg(d)
-    if fmt == "dot":
-        return _render_dot(d)
-    raise ContractError(f"unknown render format {fmt!r}")
+    if fmt not in ("svg", "dot"):
+        raise ContractError(f"unknown render format {fmt!r}")
+    grid = _integer_grid(d)
+    return _render_svg(grid) if fmt == "svg" else _render_dot(grid)
 
 
 def drawing_to_json_obj(d: StandardDrawing):
@@ -463,29 +453,16 @@ def drawing_to_json_obj(d: StandardDrawing):
     }
 
 
-def drawing_from_json_obj(obj) -> StandardDrawing:
-    rows = tuple(tuple(r) for r in obj["rows"])
-    n = sum(len(r) for r in rows)
-    host = Graph(n, [tuple(e) for e in obj["edges"]])
-    x = {}
-    for key, val in obj["x"].items():
-        num, den = val.split("/")
-        x[int(key)] = Fraction(int(num), int(den))
-    return StandardDrawing(rows=rows, x=x, host=host)
-
-
 _PX_STEP = 40
 _PX_MARGIN = 50
 
 
 def _render_svg(d):
-    grid = _integer_grid(d)
-    xs = {v: int(x) for v, x in grid.x.items()}
-    width = 2 * _PX_MARGIN + _PX_STEP * (max(xs.values()) if xs else 0)
+    width = 2 * _PX_MARGIN + _PX_STEP * max(d.x.values())
     height = 2 * _PX_MARGIN + 100 * (len(d.rows) - 1)
 
     def px(v):
-        return _PX_MARGIN + _PX_STEP * xs[v], _PX_MARGIN + 100 * grid.row_of(v)
+        return _PX_MARGIN + _PX_STEP * d.x[v], _PX_MARGIN + 100 * d.row_of(v)
 
     lines = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
@@ -496,7 +473,7 @@ def _render_svg(d):
         lines.append(
             f'<line x1="{x1}" y1="{y1}" x2="{x2}" y2="{y2}" stroke="black" stroke-width="2"/>'
         )
-    for v in sorted(xs):
+    for v in sorted(d.x):
         cx, cy = px(v)
         lines.append(f'<circle cx="{cx}" cy="{cy}" r="9" fill="white" stroke="black"/>')
         lines.append(
@@ -507,12 +484,10 @@ def _render_svg(d):
 
 
 def _render_dot(d):
-    grid = _integer_grid(d)
     lines = ["graph drawing {", "  node [shape=circle];"]
-    for v in sorted(grid.x):
-        x = int(grid.x[v])
-        y = len(d.rows) - 1 - grid.row_of(v)
-        lines.append(f'  {v} [pos="{x},{y}!"];')
+    for v in sorted(d.x):
+        y = len(d.rows) - 1 - d.row_of(v)
+        lines.append(f'  {v} [pos="{d.x[v]},{y}!"];')
     for u, v in d.host.edges:
         lines.append(f"  {u} -- {v};")
     lines.append("}")

@@ -223,7 +223,8 @@ def encode_graph6(g):
 def read_graph6_file(path):
     """Graphs from a file with one graph6 record per line; '#' lines are comments.
 
-    A non-ASCII byte anywhere raises GraphFormatError with its line number.
+    A non-ASCII byte or a malformed record raises GraphFormatError, and an
+    oversized record UnsupportedSizeError, with its line number.
     """
     with open(path, "rb") as fh:
         lines = fh.read().splitlines()
@@ -235,7 +236,11 @@ def read_graph6_file(path):
             raise GraphFormatError(f"non-ASCII byte on line {lineno}", offset=exc.start) from None
         if not line or line.startswith("#"):
             continue
-        graphs.append(parse_graph6(line))
+        try:
+            graphs.append(parse_graph6(line))
+        except (GraphFormatError, UnsupportedSizeError) as exc:
+            exc.args = (f"line {lineno}: {exc}",)
+            raise
     return graphs
 
 

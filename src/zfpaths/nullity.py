@@ -50,29 +50,6 @@ class PatternMatrix:
         weights = [self.weights[e] for e in self.host.edges]
         return assemble(edge_ends(self.host), self.diag, weights)
 
-    def to_json_obj(self, eigenvalues=None, k=None):
-        obj = {
-            "n": self.host.n,
-            "edges": [list(e) for e in self.host.edges],
-            "diag": list(self.diag),
-            "weights": {f"{u}-{v}": w for (u, v), w in sorted(self.weights.items())},
-        }
-        if eigenvalues is not None:
-            obj["eigenvalues"] = list(eigenvalues)
-        if k is not None:
-            obj["k"] = k
-        obj["tol_zero"] = TOL_ZERO
-        return obj
-
-
-def pattern_from_json_obj(obj) -> PatternMatrix:
-    host = Graph(obj["n"], [tuple(e) for e in obj["edges"]])
-    weights = {}
-    for key, w in obj["weights"].items():
-        u, v = key.split("-")
-        weights[(int(u), int(v))] = w
-    return PatternMatrix(host=host, diag=tuple(obj["diag"]), weights=weights)
-
 
 def edge_ends(g: Graph):
     """Index arrays (us, vs) of the edge endpoints, in the order of g.edges."""
@@ -160,7 +137,16 @@ class NullityCertificate:
     gap: float
 
     def to_json_obj(self):
-        return self.matrix.to_json_obj(eigenvalues=self.eigenvalues, k=self.k)
+        pm = self.matrix
+        return {
+            "n": pm.host.n,
+            "edges": [list(e) for e in pm.host.edges],
+            "diag": list(pm.diag),
+            "weights": {f"{u}-{v}": w for (u, v), w in sorted(pm.weights.items())},
+            "eigenvalues": list(self.eigenvalues),
+            "k": self.k,
+            "tol_zero": TOL_ZERO,
+        }
 
 
 @dataclass(frozen=True)
@@ -175,14 +161,6 @@ class NotAchieved:
     restarts: int
     left_pattern: int
     stalled: int
-
-
-def certificate_from_json_obj(obj) -> NullityCertificate:
-    pm = pattern_from_json_obj(obj)
-    cert = certify(pm, obj["k"])
-    if cert is None or cert.k != obj["k"]:
-        raise ContractError("stored matrix no longer certifies the claimed nullity")
-    return cert
 
 
 def certify(pm: PatternMatrix, target):
@@ -320,26 +298,16 @@ def is_figure8(g: Graph):
     """Whether g is a 5-cycle whose every vertex carries one pendant path.
 
     Such a graph is connected with as many edges as vertices, so it has one
-    cycle, which is what remains after leaves are peeled until none are left.
-    That core must be 5 vertices of degree 3, and every peeled vertex must
-    have degree at most 2, so that each cycle vertex carries one path.
+    cycle, and its maximum degree is 3.  Its five degree-3 vertices are the
+    cycle, each adjacent to two of the others.  Conversely, five vertices
+    that each have two neighbors among themselves form a 5-cycle, the one
+    cycle of g, and every other vertex has degree at most 2, so what hangs
+    off each cycle vertex is one path.
     """
-    if g.edge_count != g.n or not g.is_connected():
+    if g.edge_count != g.n or not g.is_connected() or g.max_degree() > 3:
         return False
-    left = [g.degree(v) for v in range(g.n)]  # degree among unpeeled vertices
-    leaves = [v for v in range(g.n) if left[v] == 1]
-    while leaves:
-        v = leaves.pop()
-        left[v] = 0
-        for w in g.neighbors(v):
-            if left[w]:
-                left[w] -= 1
-                if left[w] == 1:
-                    leaves.append(w)
-    core = [v for v in range(g.n) if left[v]]
-    if len(core) != 5 or any(g.degree(v) != 3 for v in core):
-        return False
-    return all(g.degree(v) <= 2 for v in range(g.n) if not left[v])
+    hubs = [v for v in range(g.n) if g.degree(v) == 3]
+    return len(hubs) == 5 and all(sum(g.adjacent(v, w) for w in hubs) == 2 for v in hubs)
 
 
 # -- classification ------------------------------------------------------------

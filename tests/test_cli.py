@@ -4,7 +4,8 @@ import pytest
 
 from zfpaths.cli import main, resolve_graph
 from zfpaths.errors import UsageError
-from zfpaths.graphs import complete_bipartite, complete_graph, fig8_graph, path_graph
+from zfpaths.graphs import Graph, complete_bipartite, complete_graph, fig8_graph, path_graph
+from zfpaths.nullity import PatternMatrix, certify
 
 
 def run_cli(capsys, *argv):
@@ -87,7 +88,13 @@ def test_nullity_subcommand(capsys):
     code, out, _ = run_cli(capsys, "nullity", "C4", "--target", "2", "--budget", "8x600")
     assert code == 0
     payload = json.loads(out)
+    assert list(payload) == ["n", "edges", "diag", "weights", "eigenvalues", "k", "tol_zero"]
     assert payload["k"] == 2
+    # the printed matrix certifies the printed nullity again
+    weights = {tuple(map(int, e.split("-"))): w for e, w in payload["weights"].items()}
+    host = Graph(payload["n"], [tuple(e) for e in payload["edges"]])
+    pm = PatternMatrix(host=host, diag=tuple(payload["diag"]), weights=weights)
+    assert certify(pm, payload["k"]).k == payload["k"]
 
 
 def test_nullity_not_achieved(capsys):
@@ -248,3 +255,19 @@ def test_non_ascii_corpus_file_is_a_format_error(capsys, tmp_path, argv):
     code, out, err = run_cli(capsys, *argv, str(corpus))
     assert code == 2 and out == ""
     assert err.startswith("error: non-ASCII byte on line 2")
+
+
+@pytest.mark.parametrize("argv", [("verify", "--corpus"), ("fnum",)])
+@pytest.mark.parametrize(
+    "content, message",
+    [
+        (b"C~\nBw\nC\n", "error: line 3: record too short"),
+        (b"~??\n", "error: line 1: multi-byte graph6 size form"),
+    ],
+)
+def test_malformed_corpus_record_names_its_line(capsys, tmp_path, argv, content, message):
+    corpus = tmp_path / "bad.g6"
+    corpus.write_bytes(content)
+    code, out, err = run_cli(capsys, *argv, str(corpus))
+    assert code == 2 and out == ""
+    assert err.startswith(message)

@@ -1,5 +1,6 @@
 import itertools
 import json
+import math
 import random
 from fractions import Fraction
 
@@ -11,8 +12,6 @@ from zfpaths.drawing import (
     _row_structures,
     build_parallel_drawing,
     build_standard_drawing,
-    drawing_from_json_obj,
-    drawing_to_json_obj,
     leftmost_set,
     realize,
     render,
@@ -54,7 +53,7 @@ THICK_LADDER = Graph(
 
 def test_verify_k5_four_row_drawing():
     d = StandardDrawing(rows=K5_ROWS, x=K5_X, host=K5)
-    assert verify_drawing(K5, d).ok
+    assert not verify_drawing(K5, d)
     left = leftmost_set(d)
     assert left == {0, 1, 2, 4}
     assert len(left) == 4
@@ -65,9 +64,7 @@ def test_verify_detects_swapped_pair():
     x = dict(K5_X)
     x[2], x[3] = x[3], x[2]
     d = StandardDrawing(rows=K5_ROWS, x=x, host=K5)
-    report = verify_drawing(K5, d)
-    assert not report.ok
-    assert report.violations
+    assert verify_drawing(K5, d)
 
 
 def test_verify_detects_crossing():
@@ -78,15 +75,14 @@ def test_verify_detects_crossing():
         x={0: Fraction(0), 1: Fraction(1), 2: Fraction(0), 3: Fraction(1)},
         host=g,
     )
-    report = verify_drawing(g, d)
-    assert any("cross" in v for v in report.violations)
+    assert any("cross" in v for v in verify_drawing(g, d))
 
 
 def test_verify_one_row_path():
     d = StandardDrawing(
         rows=((0, 1, 2),), x={i: Fraction(i) for i in range(3)}, host=path_graph(3)
     )
-    assert verify_drawing(path_graph(3), d).ok
+    assert not verify_drawing(path_graph(3), d)
 
 
 def test_verify_catches_vertex_on_segment():
@@ -97,8 +93,7 @@ def test_verify_catches_vertex_on_segment():
         x={0: Fraction(0), 1: Fraction(0), 2: Fraction(0)},
         host=g,
     )
-    report = verify_drawing(g, d)
-    assert any("passes through" in v for v in report.violations)
+    assert any("passes through" in v for v in verify_drawing(g, d))
 
 
 def _random_drawing(rng):
@@ -129,7 +124,7 @@ def test_verify_agrees_with_the_definition_on_degenerate_drawings():
     verdicts = []
     for _ in range(2000):
         g, d = _random_drawing(rng)
-        ok = verify_drawing(g, d).ok
+        ok = not verify_drawing(g, d)
         assert ok == brute_drawing_ok(g, d), (g.edges, d.rows, d.x)
         verdicts.append(ok)
     # both verdicts are common, so neither side of the check is vacuous
@@ -140,7 +135,7 @@ def test_verify_reports_a_row_chord_once():
     # the chord 0-2 makes the row no induced path, and nothing else is reported
     g = Graph(3, [(0, 1), (1, 2), (0, 2)])
     d = StandardDrawing(rows=((0, 1, 2),), x={v: Fraction(v) for v in range(3)}, host=g)
-    assert verify_drawing(g, d).violations == ["row 0 (0, 1, 2) is not an induced path"]
+    assert verify_drawing(g, d) == ["row 0 (0, 1, 2) is not an induced path"]
     assert not brute_drawing_ok(g, d)
 
 
@@ -148,7 +143,7 @@ def test_verify_two_segments_along_one_ray():
     # 0-1 and 0-2 leave 0 straight down; the nearer end 1 lies on 0-2
     g = Graph(3, [(0, 1), (0, 2)])
     d = StandardDrawing(rows=((0,), (1,), (2,)), x={v: Fraction(0) for v in range(3)}, host=g)
-    assert verify_drawing(g, d).violations == ["segment 0-2 passes through vertex 1"]
+    assert verify_drawing(g, d) == ["segment 0-2 passes through vertex 1"]
     assert not brute_drawing_ok(g, d)
 
 
@@ -160,7 +155,7 @@ def test_verify_end_touching_another_segment():
         x={0: Fraction(0), 1: Fraction(0), 2: Fraction(0), 3: Fraction(1)},
         host=g,
     )
-    assert verify_drawing(g, d).violations == ["segment 0-2 passes through vertex 1"]
+    assert verify_drawing(g, d) == ["segment 0-2 passes through vertex 1"]
     assert not brute_drawing_ok(g, d)
 
 
@@ -181,7 +176,7 @@ def test_drawing_tries_every_row_order(code):
     for g in graphs:
         d = build_parallel_drawing(g)
         assert d.k == 3
-        assert verify_drawing(g, d).ok
+        assert not verify_drawing(g, d)
 
 
 @pytest.mark.parametrize(
@@ -206,7 +201,7 @@ def test_realize_draws_pipeline_row_order():
     g = parse_graph6("KaGS?O@s?H@o")
     d = realize(g, ((3, 5, 10, 8, 7), (0, 6, 11, 4, 2), (1, 9)))
     assert d.rows == ((3, 5, 10, 8, 7), (0, 6, 11, 4, 2), (1, 9))
-    assert verify_drawing(g, d).ok
+    assert not verify_drawing(g, d)
     assert is_forcing_set(g, leftmost_set(d))
 
 
@@ -244,7 +239,7 @@ def test_realize_draws_rows_the_ladder_refused(g, rows):
     # realize draws each with exactly these rows
     d = realize(g, rows)
     assert d is not None and d.rows == rows
-    assert verify_drawing(g, d).ok
+    assert not verify_drawing(g, d)
 
 
 # -- figure 6 / figure 7 construction ---------------------------------------------
@@ -261,7 +256,7 @@ def test_thick_ladder_thick_split_drawing_verifies():
     # 13 has three edges into the two rows below
     d = realize(THICK_LADDER, ((13,), tuple(range(7)), tuple(range(7, 13))))
     assert d.rows == ((13,), tuple(range(7)), tuple(range(7, 13)))
-    assert verify_drawing(THICK_LADDER, d).ok
+    assert not verify_drawing(THICK_LADDER, d)
     # the thick pairs end up split into distinct coordinates
     assert d.x[4] != d.x[5] and d.x[9] != d.x[10]
 
@@ -270,7 +265,7 @@ def test_thick_ladder_full_pipeline():
     assert forcing_number(THICK_LADDER)[0] == 3
     d = build_standard_drawing(THICK_LADDER)
     assert d.k == 3
-    assert verify_drawing(THICK_LADDER, d).ok
+    assert not verify_drawing(THICK_LADDER, d)
 
 
 # -- full pipeline ------------------------------------------------------------------
@@ -280,14 +275,14 @@ def test_build_standard_drawing_k4():
     d = build_standard_drawing(complete_graph(4))
     assert d.k == 3
     assert sorted(len(r) for r in d.rows) == [1, 1, 2]
-    assert verify_drawing(complete_graph(4), d).ok
+    assert not verify_drawing(complete_graph(4), d)
 
 
 def test_build_standard_drawing_fig8_instance():
     g = fig8_graph([1, 1, 1, 1, 1])
     d = build_standard_drawing(g)
     assert d.k == 3
-    assert verify_drawing(g, d).ok
+    assert not verify_drawing(g, d)
 
 
 def test_build_standard_drawing_rejects_wrong_f():
@@ -300,14 +295,14 @@ def test_build_standard_drawing_rejects_wrong_f():
 def test_build_standard_drawing_edgeless():
     d = build_standard_drawing(Graph(3))
     assert d.k == 3
-    assert verify_drawing(Graph(3), d).ok
+    assert not verify_drawing(Graph(3), d)
 
 
 def test_build_standard_drawing_disconnected():
     g = disjoint_union([cycle_graph(4), Graph(1)])
     assert forcing_number(g)[0] == 3
     d = build_standard_drawing(g)
-    assert verify_drawing(g, d).ok
+    assert not verify_drawing(g, d)
 
 
 @pytest.mark.parametrize(
@@ -324,7 +319,7 @@ def test_pipeline_regressions_beyond_corpus(code):
     g = parse_graph6(code)
     assert forcing_number(g)[0] == 3
     d = build_standard_drawing(g)
-    assert verify_drawing(g, d).ok
+    assert not verify_drawing(g, d)
     assert is_forcing_set(g, leftmost_set(d))
 
 
@@ -336,8 +331,19 @@ def test_pipeline_on_small_corpus():
                 continue
             d = build_standard_drawing(g)
             assert d.k == 3
-            assert verify_drawing(g, d).ok
+            assert not verify_drawing(g, d)
             assert is_forcing_set(g, leftmost_set(d))
+
+
+def test_pipeline_drawings_sit_on_the_smallest_integer_grid():
+    # from n = 2 on, some x is nonzero, so the grid has gcd 1
+    for n in range(2, 8):
+        for g in enumerate_connected_subcubic(n):
+            if forcing_number(g)[0] > 3:
+                continue
+            xs = list(build_parallel_drawing(g).x.values())
+            assert all(type(x) is int for x in xs), g.edges
+            assert min(xs) == 0 and math.gcd(*xs) == 1, g.edges
 
 
 def test_parallel_drawing_rows_match_forcing_number():
@@ -361,7 +367,7 @@ def test_search_k5_reproduces_four_parallel_paths():
     assert d is not None
     assert d.k == 4
     assert sorted(len(r) for r in d.rows) == [1, 1, 1, 2]
-    assert verify_drawing(K5, d).ok
+    assert not verify_drawing(K5, d)
     assert is_forcing_set(K5, leftmost_set(d))
 
 
@@ -439,12 +445,24 @@ def test_render_dot_has_pinned_positions():
 
 
 def test_render_json_round_trip():
+    # the stored rows and integer x rebuild the drawing, with no decoder
     d = build_standard_drawing(complete_graph(4))
     obj = json.loads(render(d, "json"))
-    assert set(obj) == {"rows", "x", "edges", "k"}
-    back = drawing_from_json_obj(obj)
-    assert back == d
-    assert drawing_to_json_obj(back) == obj
+    assert list(obj) == ["rows", "x", "edges", "k"] and obj["k"] == 3
+    x = {int(v): int(text.removesuffix("/1")) for v, text in obj["x"].items()}
+    host = Graph(len(x), [tuple(e) for e in obj["edges"]])
+    assert StandardDrawing(rows=tuple(map(tuple, obj["rows"])), x=x, host=host) == d
+
+
+def test_render_rational_drawing_as_its_integer_rescaling():
+    # K5_X shifted by 4/5 and scaled by 5, or by 10, is integer; svg and dot
+    # put all three on one grid
+    rational = StandardDrawing(rows=K5_ROWS, x=K5_X, host=K5)
+    for scale in (5, 10):
+        x = {v: int((val + Fraction(4, 5)) * scale) for v, val in K5_X.items()}
+        scaled = StandardDrawing(rows=K5_ROWS, x=x, host=K5)
+        for fmt in ("svg", "dot"):
+            assert render(scaled, fmt) == render(rational, fmt)
 
 
 def test_render_refuses_invalid_drawing():

@@ -1,5 +1,4 @@
 import itertools
-import json
 import math
 import random
 import warnings
@@ -30,14 +29,12 @@ from zfpaths.nullity import (
     PatternMatrix,
     _jacobian,
     assemble,
-    certificate_from_json_obj,
     certify,
     classify,
     edge_ends,
     is_figure8,
     jacobi_eigenvalues,
     maximize_nullity,
-    pattern_from_json_obj,
 )
 
 
@@ -55,12 +52,6 @@ def test_pattern_matrix_validates_weights():
         PatternMatrix(host=path_graph(2), diag=(0.0, 0.0), weights={(0, 1): 1e-9})
     with pytest.raises(ContractError):
         PatternMatrix(host=path_graph(2), diag=(0.0, 0.0), weights={})
-
-
-def test_pattern_matrix_round_trips_json():
-    pm = unit_pattern(cycle_graph(4), diag=0.5)
-    back = pattern_from_json_obj(json.loads(json.dumps(pm.to_json_obj())))
-    assert back == pm
 
 
 # -- Jacobi spectrum ---------------------------------------------------------------
@@ -285,20 +276,12 @@ def test_certify_rejects_k_outside_one_to_n(k):
     pm = unit_pattern(path_graph(3))
     with pytest.raises(ContractError):
         certify(pm, k)
-    with pytest.raises(ContractError):
-        certificate_from_json_obj(json.loads(json.dumps(pm.to_json_obj(k=k))))
 
 
 def test_certify_reads_k_off_the_spectrum():
     # the unit P3 matrix has nullity 1, which lies within a target of 2
     cert = certify(unit_pattern(path_graph(3)), 2)
     assert cert is not None and cert.k == 1
-
-
-def test_stored_certificate_above_its_nullity_is_rejected():
-    obj = json.loads(json.dumps(unit_pattern(path_graph(3)).to_json_obj(k=2)))
-    with pytest.raises(ContractError):
-        certificate_from_json_obj(obj)
 
 
 def test_not_achieved_carries_best_k():
@@ -315,13 +298,6 @@ def test_certificate_respects_forcing_bound(rng):
             result = maximize_nullity(g, min(f, g.n), budget=(10, 600), seed=3)
             if isinstance(result, NullityCertificate):
                 assert result.k <= f
-
-
-def test_certificate_json_round_trip():
-    result = maximize_nullity(cycle_graph(4), 2, budget=(10, 800), seed=1)
-    obj = json.loads(json.dumps(result.to_json_obj()))
-    back = certificate_from_json_obj(obj)
-    assert back.k == 2
 
 
 def test_cycles_and_trees_reach_forcing_number():
@@ -382,6 +358,13 @@ def test_fig8_rejects_missing_pendant():
     g = fig8_graph([1, 1, 1, 1, 1])
     pruned = Graph(9, [e for e in g.edges if 9 not in e])
     assert is_figure8(pruned) is False
+
+
+def test_fig8_rejects_a_pendant_path_that_branches_at_degree_four():
+    # the pendant vertex 5 gains three leaves: still one cycle and five
+    # degree-3 vertices, but no longer a path at vertex 0
+    g = fig8_graph([1, 1, 1, 1, 1])
+    assert is_figure8(Graph(13, g.edges + ((5, 10), (5, 11), (5, 12)))) is False
 
 
 def test_fig8_rejects_six_cycle_variant():
