@@ -33,7 +33,6 @@ from .drawing import (
 from .nullity import (
     Classification,
     NullityCertificate,
-    PatternMatrix,
     classify,
     is_figure8,
     maximize_nullity,

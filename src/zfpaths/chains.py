@@ -3,8 +3,9 @@
 A complete forcing run partitions the vertices into |F| chains, one per
 initially colored vertex, each an induced path.  A chain is the tuple of
 its vertices read from its head, and a chain set is its host and its
-chains, sorted by head; its origin is the set of heads, and positions and
-owners are looked up in its `OrderIndex`.  Forcing chains are defined by a
+chains, sorted by head; its origin is the set of heads.  It also holds the
+position and owner chain of each vertex and the cross edges between chains,
+and runs the chain-order scans.  Forcing chains are defined by a
 chronological list of forces, one at a time, not by the time steps of a
 synchronous run: extraction checks each link against the run it read, and
 every chain set, repaired ones too, must admit such a list.
@@ -44,8 +45,24 @@ class ChainSet:
         return frozenset(c[0] for c in self.chains)
 
     @cached_property
-    def index(self):
-        return OrderIndex(self.host, self.chains)
+    def pos(self):
+        return {v: p for c in self.chains for p, v in enumerate(c)}
+
+    @cached_property
+    def owner(self):
+        return {v: i for i, c in enumerate(self.chains) for v in c}
+
+    @cached_property
+    def cross(self):
+        """{(i, j): the edges (u, v) with u in chain i and v in chain j != i}."""
+        cross = {ij: [] for ij in itertools.permutations(range(len(self.chains)), 2)}
+        for i, c in enumerate(self.chains):
+            for u in c:
+                for v in self.host.neighbors(u):
+                    j = self.owner.get(v, i)
+                    if j != i:
+                        cross[i, j].append((u, v))
+        return cross
 
     def nontrivial(self):
         """Indices of the chains with more than one vertex."""
@@ -57,31 +74,8 @@ class ChainSet:
     def to_json(self):
         return {"origin": sorted(self.origin), "chains": [list(c) for c in self.chains]}
 
-
-class OrderIndex:
-    """Positions, owners and cross edges of a tuple of disjoint vertex
-    sequences, with the chain-order scans built on them.  Sequences are
-    referred to by their index in `seqs`."""
-
-    def __init__(self, g: Graph, seqs):
-        self.host = g
-        self.seqs = tuple(tuple(s) for s in seqs)
-        self.pos = {}
-        self.owner = {}
-        for i, seq in enumerate(self.seqs):
-            for p, v in enumerate(seq):
-                self.pos[v] = p
-                self.owner[v] = i
-        self.cross = {ij: [] for ij in itertools.permutations(range(len(self.seqs)), 2)}
-        for i, seq in enumerate(self.seqs):
-            for u in seq:
-                for v in g.neighbors(u):
-                    j = self.owner.get(v, i)
-                    if j != i:
-                        self.cross[i, j].append((u, v))
-
     def inverting_pairs(self, i, j):
-        """Cross edges (u, v), (u2, v2) from sequence i to j with u before u2
+        """Cross edges (u, v), (u2, v2) from chain i to j with u before u2
         but v2 before v."""
         pos = self.pos
         for u, v in self.cross[i, j]:
@@ -101,13 +95,13 @@ class OrderIndex:
                             yield a, b, c, d, x, y
 
     def split(self, u, j):
-        """Sorted positions of u's neighbors in sequence j when two of them are
+        """Sorted positions of u's neighbors in chain j when two of them are
         at least two apart, else an empty list."""
         ps = sorted(self.pos[v] for v in self.host.neighbors(u) if self.owner.get(v) == j)
         return ps if any(q - p >= 2 for p, q in zip(ps, ps[1:])) else []
 
     def fan_inversions(self, x, j, k):
-        """(a, b, c, d): neighbors a of x in sequence j and b in sequence k,
+        """(a, b, c, d): neighbors a of x in chain j and b in chain k,
         with a cross edge c-d from j to k where c is after a and d before b."""
         pos = self.pos
         nbrs = self.host.neighbors(x)
@@ -223,7 +217,7 @@ def sequentially_realizable(cs: ChainSet):
 def _heads_only(cs: ChainSet, found, kind):
     if cs.host.max_degree() <= 3:
         for v in found:
-            if cs.index.pos[v] != 0:
+            if cs.pos[v] != 0:
                 raise InternalLogicError(
                     f"{kind} vertex {v} is not the head of its chain (degree cap 3)"
                 )
@@ -234,14 +228,13 @@ def bad_vertices(cs: ChainSet):
     """{bad vertex: (j, a)} over the vertices of a non-trivial chain with two
     non-consecutive neighbors in another non-trivial chain j; a is the first
     of them, in the lowest such chain j."""
-    index = cs.index
     found = {}
     for i, j in itertools.permutations(cs.nontrivial(), 2):
-        for v in index.seqs[i]:
+        for v in cs.chains[i]:
             if v not in found:
-                ps = index.split(v, j)
+                ps = cs.split(v, j)
                 if ps:
-                    found[v] = (j, index.seqs[j][ps[0]])
+                    found[v] = (j, cs.chains[j][ps[0]])
     return _heads_only(cs, found, "bad")
 
 
@@ -250,14 +243,13 @@ def unfavorite_vertices(cs: ChainSet):
     two other non-trivial chains j and k witnessed by a later/earlier segment
     between those chains; a is the neighbor in chain j of the first such fan
     inversion found, over chain pairs (j, k) in lexicographic order."""
-    index = cs.index
     nontrivial = cs.nontrivial()
     found = {}
     for i in nontrivial:
         for j, k in itertools.permutations([c for c in nontrivial if c != i], 2):
-            for x in index.seqs[i]:
+            for x in cs.chains[i]:
                 if x not in found:
-                    fan = next(index.fan_inversions(x, j, k), None)
+                    fan = next(cs.fan_inversions(x, j, k), None)
                     if fan:
                         found[x] = (j, fan[0])
     return _heads_only(cs, found, "unfavorite")
@@ -278,11 +270,11 @@ def _head_rewrite(cs: ChainSet, x, j, a):
     With R1 the chain of x and R2 chain j, the new chains are x'R2 (suffix
     from the successor of a) and R2-prefix-through-a + R1.
     """
-    i = cs.index.owner[x]
-    if cs.index.pos[x] != 0:
+    i = cs.owner[x]
+    if cs.pos[x] != 0:
         raise InternalLogicError(f"rewrite target {x} is not a chain head")
     r1, r2 = cs.chains[i], cs.chains[j]
-    pa = cs.index.pos[a]
+    pa = cs.pos[a]
     rest = [c for k, c in enumerate(cs.chains) if k not in (i, j)]
     return _rebuild(cs.host, rest + [r2[pa + 1 :], r2[: pa + 1] + r1])
 
@@ -302,7 +294,7 @@ def eliminate_bad(cs: ChainSet) -> ChainSet:
     while bad:
         x = min(bad)
         j, a = bad[x]
-        third = [c for k, c in enumerate(current.chains) if k not in (current.index.owner[x], j)]
+        third = [c for k, c in enumerate(current.chains) if k not in (current.owner[x], j)]
         rewritten = _head_rewrite(current, x, j, a)
         after = bad_vertices(rewritten)
         if len(after) < len(bad):
@@ -359,11 +351,10 @@ def check_order_lemmas(cs: ChainSet) -> list:
     chain set.
     """
     violations = []
-    index = cs.index
     count = len(cs.chains)
     # the (j, i) scan finds the (i, j) inversions again, mirrored
     for i, j in itertools.combinations(range(count), 2):
-        violations.extend(("no_inverting_pair", w) for w in index.inverting_pairs(i, j))
+        violations.extend(("no_inverting_pair", w) for w in cs.inverting_pairs(i, j))
     for i, j, k in itertools.permutations(range(count), 3):
-        violations.extend(("no_inverting_triple", w) for w in index.inverting_triples(i, j, k))
+        violations.extend(("no_inverting_triple", w) for w in cs.inverting_triples(i, j, k))
     return violations

@@ -144,7 +144,7 @@ def _cmd_closure(args):
 
 def _cmd_chains(args):
     g = resolve_graph(args.input)
-    if args.set:
+    if args.set is not None:
         colored = _parse_set(args.set)
     else:
         colored = forcing_number(g)[1]
@@ -233,7 +233,8 @@ def _cmd_verify(args):
     }
     print(json.dumps(payload))
     print(
-        f"{report.cursor} graphs, {len(report.violations)} violations, "
+        f"{report.cursor} graphs, {report.totals.get('skipped', 0)} skipped, "
+        f"{len(report.violations)} violations, "
         f"{len(report.warnings)} warnings",
         file=sys.stderr,
     )

@@ -350,7 +350,7 @@ def _ladder_pair(cs):
         itertools.combinations(range(len(cs.chains)), 2),
         key=lambda ij: (
             sum(len(cs.chains[k]) == 1 for k in ij),
-            -len(cs.index.cross[ij]),
+            -len(cs.cross[ij]),
             ij,
         ),
     )

@@ -44,7 +44,7 @@ _HARNESS_N_CAP = 12
 @dataclass
 class SuiteReport:
     corpus_id: str
-    totals: dict = field(default_factory=dict)
+    totals: dict = field(default_factory=dict)  # records per tag, skipped ones under "skipped"
     violations: list = field(default_factory=list)
     warnings: list = field(default_factory=list)
     records: dict = field(default_factory=dict)
@@ -151,7 +151,7 @@ def run_suite(
                     sink.flush()
             report.records[key] = rec
             report.cursor += 1
-            tag = rec.get("tag")
+            tag = "skipped" if rec.get("skipped") else rec.get("tag")
             if tag:
                 report.totals[tag] = report.totals.get(tag, 0) + 1
             for v in rec.get("violations", ()):

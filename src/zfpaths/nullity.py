@@ -1,17 +1,18 @@
 """Pattern-constrained symmetric matrices and maximum-nullity estimation.
 
 A pattern matrix for a graph has arbitrary diagonal, nonzero entries on
-edges, and exact zeros elsewhere.  The maximum nullity over such matrices
-is bounded above by the forcing number; numerical lower bounds are produced
-here by Newton's method on the cluster of the target smallest eigenvalues,
-which solves V^T A V = 0 for their eigenvectors V.  A restart ends when those
-eigenvalues lie 1000 times below the certificate's zero threshold, when
-||A||_F diverges, or when its steps run out.  Its last iterate is certified
-only if every edge weight clears a hard floor relative to the matrix scale:
-without it Newton converges onto near-boundary matrices that the float
-certificate cannot tell from pattern matrices.  Certificates are checked with
-an in-house Jacobi eigensolver, independent of the LAPACK path used inside
-the optimizer.
+edges, and exact zeros elsewhere; here it is a diagonal and one weight per
+edge, in the order of g.edges.  In floats, nonzero is one rule,
+`_in_pattern`: every |weight| is at least 0.045 x max(1, ||A||_F), for a
+float spectrum cannot tell a weight far below the matrix scale from zero.
+The maximum nullity over pattern matrices is bounded above by the forcing
+number; numerical lower bounds are produced here by Newton's method on the
+cluster of the target smallest eigenvalues, which solves V^T A V = 0 for
+their eigenvectors V.  A restart ends when those eigenvalues lie 1000 times
+below the certificate's zero threshold, when ||A||_F diverges, or when its
+steps run out.  `certify` applies the pattern rule, then checks the nullity
+with an in-house Jacobi eigensolver, independent of the LAPACK path used
+inside the optimizer.
 """
 
 from __future__ import annotations
@@ -25,30 +26,11 @@ from .errors import ContractError, NumericalFailureError, UnsupportedSizeError
 from .forcing import forcing_number
 from .graphs import Graph
 
-EDGE_MIN = 1e-3  # pattern membership: |weight| >= EDGE_MIN
 TOL_ZERO = 1e-8  # relative zero threshold for nullity counting
 GAP_FACTOR = 10  # certified gap must exceed GAP_FACTOR * TOL_ZERO
+_FLOOR_CERTIFY = 0.045  # a pattern matrix has every |weight| >= _FLOOR_CERTIFY * max(1, ||A||_F)
+_OPT_CAP = 32  # the size cap of the search and of its certificates
 _MG_CHECK_CAP = 12  # forcing-number cross-check cap inside certificates
-
-
-@dataclass(frozen=True)
-class PatternMatrix:
-    host: Graph
-    diag: tuple
-    weights: dict  # (u, v) with u < v -> nonzero weight
-
-    def __post_init__(self):
-        if len(self.diag) != self.host.n:
-            raise ContractError("diagonal length must equal the vertex count")
-        if set(self.weights) != set(self.host.edges):
-            raise ContractError("weights must cover exactly the host's edges")
-        small = [e for e, w in self.weights.items() if abs(w) < EDGE_MIN]
-        if small:
-            raise ContractError(f"edge weights below {EDGE_MIN}: {small}")
-
-    def as_array(self):
-        weights = [self.weights[e] for e in self.host.edges]
-        return assemble(edge_ends(self.host), self.diag, weights)
 
 
 def edge_ends(g: Graph):
@@ -66,9 +48,21 @@ def assemble(ends, diag, weights):
     return a
 
 
+def _frobenius(diag, weights):
+    """||A||_F of the pattern matrix with this diagonal and these edge weights."""
+    return math.sqrt(diag @ diag + 2.0 * (weights @ weights))
+
+
+def _in_pattern(diag, weights):
+    """Whether every entry is finite and every |weight| is at least
+    _FLOOR_CERTIFY * max(1, ||A||_F), the one rule for a float weight to
+    count as nonzero; diag and weights are float arrays."""
+    norm = _frobenius(diag, weights)  # nan or inf unless every entry is finite
+    return math.isfinite(norm) and np.all(np.abs(weights) >= _FLOOR_CERTIFY * max(1.0, norm))
+
+
 # -- dense symmetric eigensolver (cyclic Jacobi) -----------------------------
 
-_SPECTRUM_CAP = 64
 _JACOBI_SWEEPS = 100
 _JACOBI_TOL = 1e-12
 
@@ -122,27 +116,26 @@ def jacobi_eigenvalues(a):
 
 # -- nullity maximization -----------------------------------------------------
 
-_OPT_CAP = 32
 _CONVERGED = 1e-3  # a restart converges below _CONVERGED * TOL_ZERO * max(1, ||A||_F)
 _DIVERGED = 1e12  # a restart is abandoned once ||A||_F exceeds this
 _FLOOR_REL = 0.05  # Newton moves |weight| below _FLOOR_REL * max(1, ||A||_F) back above it
-_FLOOR_CERTIFY = 0.045  # certify only if every |weight| >= _FLOOR_CERTIFY * max(1, ||A||_F)
 
 
 @dataclass(frozen=True)
 class NullityCertificate:
-    matrix: PatternMatrix
+    host: Graph
+    diag: tuple
+    weights: tuple  # in the order of host.edges
     k: int
     eigenvalues: tuple  # sorted by absolute value
     gap: float
 
     def to_json_obj(self):
-        pm = self.matrix
         return {
-            "n": pm.host.n,
-            "edges": [list(e) for e in pm.host.edges],
-            "diag": list(pm.diag),
-            "weights": {f"{u}-{v}": w for (u, v), w in sorted(pm.weights.items())},
+            "n": self.host.n,
+            "edges": [list(e) for e in self.host.edges],
+            "diag": list(self.diag),
+            "weights": {f"{u}-{v}": w for (u, v), w in zip(self.host.edges, self.weights)},
             "eigenvalues": list(self.eigenvalues),
             "k": self.k,
             "tol_zero": TOL_ZERO,
@@ -153,8 +146,9 @@ class NullityCertificate:
 class NotAchieved:
     """Why no restart certified the target: `stalled` restarts ended short of
     the zero threshold (diverged or out of steps), and `left_pattern` reached
-    it on an iterate below the hard weight floor.  `best_k` is the largest
-    nullity below the target that a restart's last iterate certified."""
+    it on an iterate that is not a pattern matrix (`_in_pattern`).  `best_k`
+    is the largest nullity below the target that a restart's last iterate
+    certified."""
 
     target: int
     best_k: int
@@ -163,9 +157,10 @@ class NotAchieved:
     stalled: int
 
 
-def certify(pm: PatternMatrix, target):
-    """Numerical certificate for the nullity k that pm shows, or None unless
-    1 <= k <= target (1 <= target <= n).
+def certify(g: Graph, diag, weights, target):
+    """Numerical certificate for the nullity k of the matrix with this
+    diagonal and weights[i] on edge i of g.edges, or None unless it is a
+    pattern matrix (`_in_pattern`) and 1 <= k <= target (1 <= target <= n).
 
     k counts the eigenvalues from the in-house Jacobi solver, not the
     optimizer's LAPACK path, below TOL_ZERO * max(1, ||A||_F).  The next
@@ -175,11 +170,16 @@ def certify(pm: PatternMatrix, target):
     threshold and the next one at GAP_FACTOR times it hold together only when
     k is the count below.  This is a float check, not a proof.
     """
-    if not 1 <= target <= pm.host.n:
-        raise ContractError(f"target must lie in 1..{pm.host.n}, got {target}")
-    if pm.host.n > _SPECTRUM_CAP:
-        raise UnsupportedSizeError(f"spectrum capped at n = {_SPECTRUM_CAP}")
-    arr = pm.as_array()
+    if not 1 <= target <= g.n:
+        raise ContractError(f"target must lie in 1..{g.n}, got {target}")
+    if g.n > _OPT_CAP:
+        raise UnsupportedSizeError(f"nullity certificates capped at n = {_OPT_CAP}")
+    if len(diag) != g.n or len(weights) != len(g.edges):
+        raise ContractError("need one diagonal entry per vertex and one weight per edge")
+    diag, weights = np.array(diag, dtype=float), np.array(weights, dtype=float)
+    if not _in_pattern(diag, weights):
+        return None
+    arr = assemble(edge_ends(g), diag, weights)
     scale = max(1.0, float(np.linalg.norm(arr)))
     by_abs = sorted(jacobi_eigenvalues(arr), key=abs)
     k = sum(1 for lam in by_abs if abs(lam) < TOL_ZERO * scale)
@@ -188,15 +188,11 @@ def certify(pm: PatternMatrix, target):
     gap = abs(by_abs[k]) if k < len(by_abs) else math.inf
     if gap < GAP_FACTOR * TOL_ZERO * scale:
         return None
-    if pm.host.max_degree() <= 3 and pm.host.n <= _MG_CHECK_CAP:
-        if k > forcing_number(pm.host)[0]:
+    if g.max_degree() <= 3 and g.n <= _MG_CHECK_CAP:
+        if k > forcing_number(g)[0]:
             return None
-    return NullityCertificate(matrix=pm, k=k, eigenvalues=tuple(by_abs), gap=gap)
-
-
-def _frobenius(diag, weights):
-    """||A||_F of the pattern matrix with this diagonal and these edge weights."""
-    return math.sqrt(diag @ diag + 2.0 * (weights @ weights))
+    diag, weights = tuple(diag.tolist()), tuple(weights.tolist())
+    return NullityCertificate(g, diag, weights, k, eigenvalues=tuple(by_abs), gap=gap)
 
 
 def _jacobian(ends, vecs, pairs):
@@ -251,8 +247,8 @@ def maximize_nullity(g: Graph, target, budget=(50, 2000), seed=0):
 
     Runs Newton's method on V^T A V = 0 from random starts with restart seeds
     seed, seed+1, ...; budget is (restarts, Newton steps per restart).  A
-    restart's last iterate is certified once, if it is finite and every edge
-    weight is at least EDGE_MIN and _FLOOR_CERTIFY * max(1, ||A||_F).
+    restart's last iterate is certified once, if it is a pattern matrix
+    (`_in_pattern`); a converged one that is not counts as left_pattern.
     Returns the first certificate reaching the target, else NotAchieved with
     the best certified k seen.  A certificate is numerical, not a proof (see
     `certify` for what it checks); failure proves nothing.
@@ -271,24 +267,16 @@ def maximize_nullity(g: Graph, target, budget=(50, 2000), seed=0):
         weights = rng.uniform(0.5, 1.5, m) * rng.choice([-1.0, 1.0], m)
         diag, weights, converged = _descent(ends, diag, weights, target, iters)
         stalled += not converged
-        # the hard floor: without it Newton converges onto near-boundary
-        # matrices whose small weights the float certificate cannot tell
-        # from zeros, and forges nullity 3 on figure-8 graphs
-        norm = _frobenius(diag, weights)  # nan or inf unless the iterate is finite
-        floor = max(EDGE_MIN, _FLOOR_CERTIFY * max(1.0, norm))
-        if not (math.isfinite(norm) and np.all(np.abs(weights) >= floor)):
+        # certify refuses an iterate outside the pattern too; here it counts as left_pattern
+        if not _in_pattern(diag, weights):
             left_pattern += converged
             continue
-        weights_by_edge = dict(zip(g.edges, map(float, weights)))
-        pm = PatternMatrix(host=g, diag=tuple(map(float, diag)), weights=weights_by_edge)
-        cert = certify(pm, target)
+        cert = certify(g, diag, weights, target)
         if cert is not None:
             if cert.k == target:
                 return cert
             best_k = max(best_k, cert.k)
-    return NotAchieved(
-        target=target, best_k=best_k, restarts=restarts, left_pattern=left_pattern, stalled=stalled
-    )
+    return NotAchieved(target, best_k, restarts, left_pattern, stalled)
 
 
 # -- the degree-three family with forcing number 3 and nullity 2 -------------

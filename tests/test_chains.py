@@ -67,8 +67,8 @@ def test_chain_set_serialization():
 def test_chain_order_relation():
     cs = chains_for(path_graph(4), [0])
     assert cs.chains == ((0, 1, 2, 3),)
-    assert cs.index.pos[0] < cs.index.pos[3]
-    assert cs.index.owner[2] == 0
+    assert cs.pos[0] < cs.pos[3]
+    assert cs.owner[2] == 0
 
 
 def test_partition_and_induced_path_invariants(rng):

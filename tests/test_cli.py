@@ -5,7 +5,7 @@ import pytest
 from zfpaths.cli import main, resolve_graph
 from zfpaths.errors import UsageError
 from zfpaths.graphs import Graph, complete_bipartite, complete_graph, fig8_graph, path_graph
-from zfpaths.nullity import PatternMatrix, certify
+from zfpaths.nullity import certify
 
 
 def run_cli(capsys, *argv):
@@ -56,6 +56,13 @@ def test_chains_default_minimum_set(capsys):
     assert json.loads(out) == {"origin": [0, 1, 2], "chains": [[0, 3], [1], [2]]}
 
 
+def test_chains_of_the_empty_set_is_not_the_minimum_set(capsys):
+    # an empty --set names the empty set, as it does for closure
+    code, out, err = run_cli(capsys, "chains", "K4", "--set", "")
+    assert code == 2 and out == ""
+    assert "chain extraction needs a complete forcing run" in err
+
+
 def test_tfnum(capsys):
     code, out, _ = run_cli(capsys, "tfnum", "P4")
     assert json.loads(out) == {"f_t": 2, "witness": [0, 1]}
@@ -91,10 +98,9 @@ def test_nullity_subcommand(capsys):
     assert list(payload) == ["n", "edges", "diag", "weights", "eigenvalues", "k", "tol_zero"]
     assert payload["k"] == 2
     # the printed matrix certifies the printed nullity again
-    weights = {tuple(map(int, e.split("-"))): w for e, w in payload["weights"].items()}
     host = Graph(payload["n"], [tuple(e) for e in payload["edges"]])
-    pm = PatternMatrix(host=host, diag=tuple(payload["diag"]), weights=weights)
-    assert certify(pm, payload["k"]).k == payload["k"]
+    weights = [payload["weights"][f"{u}-{v}"] for u, v in host.edges]
+    assert certify(host, payload["diag"], weights, payload["k"]).k == payload["k"]
 
 
 def test_nullity_not_achieved(capsys):
@@ -151,6 +157,16 @@ def test_verify_builtin_clean(capsys):
     assert code == 0
     payload = json.loads(out)
     assert payload["violations"] == []
+
+
+def test_verify_counts_skipped_graphs(capsys, tmp_path):
+    # K5 has degree 4, so no check runs on it
+    corpus = tmp_path / "k5.g6"
+    corpus.write_text("D~{\n")
+    code, out, err = run_cli(capsys, "verify", "--corpus", str(corpus))
+    assert code == 0
+    assert json.loads(out)["totals"] == {"skipped": 1}
+    assert "1 graphs, 1 skipped," in err
 
 
 def test_verify_conflicting_sources(capsys):

@@ -26,7 +26,6 @@ from zfpaths.nullity import (
     Classification,
     NotAchieved,
     NullityCertificate,
-    PatternMatrix,
     _jacobian,
     assemble,
     certify,
@@ -39,38 +38,54 @@ from zfpaths.nullity import (
 
 
 def unit_pattern(g, diag=0.0):
-    return PatternMatrix(
-        host=g, diag=(diag,) * g.n, weights={e: 1.0 for e in g.edges}
-    )
+    """(g, diagonal, weights) of the matrix with this constant diagonal and
+    weight 1 on every edge, as `certify` takes them."""
+    return g, (diag,) * g.n, (1.0,) * len(g.edges)
+
+
+def unit_matrix(g, diag=0.0):
+    return assemble(edge_ends(g), *unit_pattern(g, diag)[1:])
 
 
 # -- pattern matrices -----------------------------------------------------------
 
 
-def test_pattern_matrix_validates_weights():
+def test_certify_checks_the_pattern():
     with pytest.raises(ContractError):
-        PatternMatrix(host=path_graph(2), diag=(0.0, 0.0), weights={(0, 1): 1e-9})
+        certify(path_graph(2), (0.0, 0.0), (), 1)
     with pytest.raises(ContractError):
-        PatternMatrix(host=path_graph(2), diag=(0.0, 0.0), weights={})
+        certify(path_graph(2), (0.0,), (1.0,), 1)
+    # a weight far below the matrix scale counts as zero, and a non-finite
+    # entry leaves the pattern
+    assert certify(path_graph(2), (0.0, 0.0), (1e-9,), 1) is None
+    assert certify(path_graph(2), (0.0, math.nan), (1.0,), 1) is None
+
+
+@pytest.mark.parametrize("b, k", [(0.06, None), (0.07, 1)])
+def test_certify_pattern_boundary_on_p3(b, k):
+    # ||A||_F = sqrt(2 (1 + b^2)) is about 1.417, so the floor 0.045 ||A||_F
+    # is about 0.0638: b = 0.06 lies below it and b = 0.07 above
+    cert = certify(path_graph(3), (0.0, 0.0, 0.0), (1.0, b), 3)
+    assert (None if cert is None else cert.k) == k
 
 
 # -- Jacobi spectrum ---------------------------------------------------------------
 
 
 def test_spectrum_p3():
-    vals = jacobi_eigenvalues(unit_pattern(path_graph(3)).as_array())
+    vals = jacobi_eigenvalues(unit_matrix(path_graph(3)))
     expected = (-math.sqrt(2), 0.0, math.sqrt(2))
     assert all(abs(a - b) < 1e-10 for a, b in zip(vals, expected))
 
 
 def test_spectrum_c4():
-    vals = jacobi_eigenvalues(unit_pattern(cycle_graph(4)).as_array())
+    vals = jacobi_eigenvalues(unit_matrix(cycle_graph(4)))
     assert all(abs(a - b) < 1e-10 for a, b in zip(vals, (-2.0, 0.0, 0.0, 2.0)))
 
 
 def test_spectrum_diagonal_only():
-    pm = PatternMatrix(host=Graph(3), diag=(2.0, -1.0, 0.5), weights={})
-    assert tuple(jacobi_eigenvalues(pm.as_array())) == (-1.0, 0.5, 2.0)
+    a = assemble(edge_ends(Graph(3)), (2.0, -1.0, 0.5), ())
+    assert tuple(jacobi_eigenvalues(a)) == (-1.0, 0.5, 2.0)
 
 
 def test_jacobi_matches_lapack_on_random_symmetric(rng):
@@ -90,14 +105,14 @@ def test_jacobi_repeated_eigenvalues_of_pattern_matrices():
     # unit C4 has spectrum (-2, 0, 0, 2) and the all-ones K4 (0, 0, 0, 4)
     cases = ((cycle_graph(4), 0.0, (-2, 0, 0, 2)), (complete_graph(4), 1.0, (0, 0, 0, 4)))
     for g, diag, expected in cases:
-        a = unit_pattern(g, diag=diag).as_array()
+        a = unit_matrix(g, diag=diag)
         assert np.max(np.abs(jacobi_eigenvalues(a) - expected)) < 1e-12
         assert np.max(np.abs(jacobi_eigenvalues(a) - np.linalg.eigvalsh(a))) < 1e-12
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_jacobi_rejects_non_finite_entries(bad):
-    a = unit_pattern(cycle_graph(4)).as_array()
+    a = unit_matrix(cycle_graph(4))
     a[1, 2] = a[2, 1] = bad
     with pytest.raises(NumericalFailureError):
         jacobi_eigenvalues(a)
@@ -105,15 +120,14 @@ def test_jacobi_rejects_non_finite_entries(bad):
 
 def test_nullity_counts():
     # a target of n leaves k to the count below the zero threshold
-    assert certify(unit_pattern(path_graph(3)), 3).k == 1
-    assert certify(unit_pattern(cycle_graph(4)), 4).k == 2
-    pm = PatternMatrix(host=Graph(3), diag=(1.0, 1.0, 1.0), weights={})
-    assert certify(pm, 3) is None  # nullity 0
+    assert certify(*unit_pattern(path_graph(3)), 3).k == 1
+    assert certify(*unit_pattern(cycle_graph(4)), 4).k == 2
+    assert certify(*unit_pattern(Graph(3), diag=1.0), 3) is None  # nullity 0
 
 
 def test_spectrum_size_cap():
     with pytest.raises(UnsupportedSizeError):
-        certify(PatternMatrix(host=Graph(65), diag=(0.0,) * 65, weights={}), 1)
+        certify(*unit_pattern(Graph(33)), 1)
 
 
 # -- gradients -----------------------------------------------------------------------
@@ -233,20 +247,21 @@ def test_diverging_restarts_raise_no_warning():
     assert result.stalled + result.left_pattern == result.restarts
 
 
-def test_hard_floor_refuses_a_near_boundary_iterate_that_certify_accepts(monkeypatch):
+def test_certify_and_the_search_refuse_a_near_boundary_forgery(monkeypatch):
     # a nullity-3 matrix of the figure-8 graph minus edge e, scaled by 1e12,
-    # with weight 1 on e: a pattern matrix of the figure-8 graph, which has
-    # M = 2, yet its three smallest eigenvalues are below certify's threshold
+    # with weight 1 on e: every weight is nonzero, yet the graph has M = 2;
+    # its three smallest eigenvalues are below certify's zero threshold, and
+    # weight 1 lies far below the floor 0.045 ||A||_F
     g = fig8_graph((1, 1, 1, 1, 1))
     e = g.edges[0]
     tree = maximize_nullity(Graph(g.n, [f for f in g.edges if f != e]), 3, seed=0)
-    weights = {f: 1e12 * w for f, w in tree.matrix.weights.items()}
-    weights[e] = 1.0
-    forged = PatternMatrix(host=g, diag=tuple(1e12 * d for d in tree.matrix.diag), weights=weights)
-    assert certify(forged, 3).k == 3
-    diag = np.array(forged.diag)
-    edge_weights = np.array([weights[f] for f in g.edges])
-    monkeypatch.setattr(nullity, "_descent", lambda *args: (diag, edge_weights, True))
+    tree_weights = dict(zip(tree.host.edges, tree.weights))
+    diag = 1e12 * np.array(tree.diag)
+    weights = np.array([1.0 if f == e else 1e12 * tree_weights[f] for f in g.edges])
+    a = assemble(edge_ends(g), diag, weights)
+    assert np.sort(np.abs(jacobi_eigenvalues(a)))[2] < TOL_ZERO * np.linalg.norm(a)
+    assert certify(g, diag, weights, 3) is None
+    monkeypatch.setattr(nullity, "_descent", lambda *args: (diag, weights, True))
     result = maximize_nullity(g, 3, budget=(1, 2000))
     assert result == NotAchieved(target=3, best_k=0, restarts=1, left_pattern=1, stalled=0)
 
@@ -259,28 +274,26 @@ def test_reach_certificates_sit_above_the_hard_floor():
                 continue
             cert = maximize_nullity(g, classify(g).m, budget=(50, 2000), seed=2024)
             assert isinstance(cert, NullityCertificate), g.edges
-            a = cert.matrix.as_array()
+            a = assemble(edge_ends(g), cert.diag, cert.weights)
             floor = _FLOOR_CERTIFY * max(1.0, np.linalg.norm(a))
-            assert min(abs(w) for w in cert.matrix.weights.values()) >= floor, g.edges
+            assert min(abs(w) for w in cert.weights) >= floor, g.edges
 
 
 def test_all_ones_matrix_certifies_k4():
     # the rank-one all-ones matrix is a closed-form nullity-3 witness
-    pm = unit_pattern(complete_graph(4), diag=1.0)
-    cert = certify(pm, 3)
+    cert = certify(*unit_pattern(complete_graph(4), diag=1.0), 3)
     assert cert is not None and cert.k == 3
 
 
 @pytest.mark.parametrize("k", [-2, 0, 4])
 def test_certify_rejects_k_outside_one_to_n(k):
-    pm = unit_pattern(path_graph(3))
     with pytest.raises(ContractError):
-        certify(pm, k)
+        certify(*unit_pattern(path_graph(3)), k)
 
 
 def test_certify_reads_k_off_the_spectrum():
     # the unit P3 matrix has nullity 1, which lies within a target of 2
-    cert = certify(unit_pattern(path_graph(3)), 2)
+    cert = certify(*unit_pattern(path_graph(3)), 2)
     assert cert is not None and cert.k == 1
 
 
