@@ -7,8 +7,10 @@ chains, sorted by head; its origin is the set of heads.  It also holds the
 position and owner chain of each vertex and the cross edges between chains,
 and runs the chain-order scans.  Forcing chains are defined by a
 chronological list of forces, one at a time, not by the time steps of a
-synchronous run: extraction checks each link against the run it read, and
-every chain set, repaired ones too, must admit such a list.
+synchronous run.  A chain set is valid when its chains hold n vertices in
+all and such a list colors every vertex, each force by the rule `closure`
+applies; `sequentially_realizable` is that rule, for extracted and
+repaired chain sets alike.
 
 Two kinds of defect can block a parallel-path drawing: a vertex with two
 non-consecutive neighbors in another non-trivial chain ("bad"), and a
@@ -32,7 +34,7 @@ from .errors import (
     UnsupportedInputError,
 )
 from .forcing import ForcingRun, closure
-from .graphs import Graph, is_induced_path
+from .graphs import Graph
 
 
 @dataclass(frozen=True)
@@ -137,9 +139,6 @@ def extract_chains(run: ForcingRun) -> ChainSet:
         chains.append(tuple(seq))
     cs = ChainSet(host=run.host, chains=tuple(chains))
     _validate(cs)
-    bad = invalid_links(run, cs.chains)
-    if bad:
-        raise InternalLogicError(f"extracted chain links outside the run's events: {bad}")
     return cs
 
 
@@ -149,66 +148,38 @@ def chains_for(g: Graph, colored) -> ChainSet:
 
 
 def _validate(cs: ChainSet):
-    """Partition, induced-path, and realizability checks on a chain set."""
-    if sorted(v for c in cs.chains for v in c) != list(range(cs.host.n)):
-        raise InternalLogicError("chains do not partition the vertex set")
-    for c in cs.chains:
-        if not is_induced_path(cs.host, c):
-            raise InternalLogicError(f"chain {c} is not an induced path")
-    if not sequentially_realizable(cs):
-        raise InternalLogicError("chains admit no chronological sequence of forces")
-
-
-def invalid_links(run: ForcingRun, chains):
-    """Chain links (u, v) that this synchronous run cannot realize.
-
-    A link is realizable when u was colored before v and every other
-    neighbor of u was colored strictly before v's step.  Chains extracted
-    from the run always pass; repaired ones may legitimately need a
-    different force schedule, which `sequentially_realizable` checks.
-    """
-    step = run.step_of
-    bad = []
-    for c in chains:
-        for u, v in zip(c, c[1:]):
-            sv = step.get(v)
-            su = step.get(u)
-            if su is None or sv is None or su >= sv:
-                bad.append((u, v))
-                continue
-            for w in run.host.neighbors(u):
-                if w != v and step.get(w, sv) >= sv:
-                    bad.append((u, v))
-                    break
-    return bad
+    """The chains hold n vertices in all and `sequentially_realizable` colors
+    every one.  A repeated or missing vertex breaks the count; a chord, or a
+    link that is no edge, stalls the walk."""
+    if sum(map(len, cs.chains)) != cs.host.n or not sequentially_realizable(cs):
+        raise InternalLogicError(f"chains {cs.chains} admit no chronological sequence of forces")
 
 
 def sequentially_realizable(cs: ChainSet):
     """Whether some one-force-at-a-time schedule realizes exactly these chains.
 
-    Greedy firing is sound and complete here: a chain step's precondition
-    (all neighbors of the forcer but its target colored) is monotone in the
-    colored set, so firing order never matters.  Every link fired is a legal
+    A link u -> v fires when v is the one uncolored neighbor of u, the rule
+    `closure` applies, and the chains are realized when every link fires and
+    every vertex ends colored.  Greedy firing is sound and complete here: a
+    link's precondition, once met, holds until its target is colored, so
+    firing order never changes the verdict.  Every link fired is a legal
     force, so True also proves that the heads form a forcing set.
     """
-    colored = set(cs.origin)
+    host = cs.host
+    for v in cs.pos:
+        host._check(v)
+    colored = sum(1 << v for v in cs.origin)
     pointer = [1] * len(cs.chains)
-    remaining = cs.host.n - len(colored)
-    while remaining:
+    fired = True
+    while fired:
         fired = False
         for i, c in enumerate(cs.chains):
             j = pointer[i]
-            if j >= len(c):
-                continue
-            u, v = c[j - 1], c[j]
-            if all(w in colored for w in cs.host.neighbors(u) if w != v):
-                colored.add(v)
+            if j < len(c) and host.neighbors_mask(c[j - 1]) & ~colored == 1 << c[j]:
+                colored |= 1 << c[j]
                 pointer[i] = j + 1
-                remaining -= 1
                 fired = True
-        if not fired:
-            return False
-    return True
+    return colored == (1 << host.n) - 1 and pointer == [len(c) for c in cs.chains]
 
 
 # -- defect detectors -------------------------------------------------------
@@ -271,8 +242,6 @@ def _head_rewrite(cs: ChainSet, x, j, a):
     from the successor of a) and R2-prefix-through-a + R1.
     """
     i = cs.owner[x]
-    if cs.pos[x] != 0:
-        raise InternalLogicError(f"rewrite target {x} is not a chain head")
     r1, r2 = cs.chains[i], cs.chains[j]
     pa = cs.pos[a]
     rest = [c for k, c in enumerate(cs.chains) if k not in (i, j)]
@@ -346,9 +315,8 @@ def check_order_lemmas(cs: ChainSet) -> list:
     violations, each ("no_inverting_pair", (u, v, u2, v2)) or
     ("no_inverting_triple", (a, b, c, d, x, y)); the list is empty when
     both facts hold.  That a cross neighbor of a forcing vertex is colored
-    before the vertex it forces is what `invalid_links` checks when the
-    chains are extracted, and what `sequentially_realizable` checks on every
-    chain set.
+    before the vertex it forces is what `sequentially_realizable` checks on
+    every chain set.
     """
     violations = []
     count = len(cs.chains)

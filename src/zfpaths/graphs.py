@@ -340,8 +340,6 @@ def enumerate_connected_subcubic(n):
         for size in (1, 2, 3):
             for subset in itertools.combinations(eligible, size):
                 cand = Graph(g.n + 1, list(g.edges) + [(u, g.n) for u in subset])
-                if cand.max_degree() > 3:
-                    continue
                 key = canonical_form(cand)
                 if key not in by_canon:
                     by_canon[key] = cand

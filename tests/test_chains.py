@@ -4,20 +4,27 @@ import pytest
 
 from zfpaths.chains import (
     ChainSet,
+    _validate,
     bad_vertices,
     chains_for,
     check_order_lemmas,
     eliminate_bad,
     eliminate_unfavorite,
     extract_chains,
-    invalid_links,
     sequentially_realizable,
     unfavorite_vertices,
 )
-from zfpaths.errors import ContractError, NotForcingSetError, UnsupportedInputError
+from zfpaths.errors import (
+    ContractError,
+    InternalLogicError,
+    InvalidVertexError,
+    NotForcingSetError,
+    UnsupportedInputError,
+)
 from zfpaths.forcing import closure, forcing_number, is_forcing_set
 from zfpaths.graphs import (
     Graph,
+    complete_bipartite,
     complete_graph,
     cycle_graph,
     enumerate_connected_subcubic,
@@ -36,6 +43,14 @@ FIG3_EXAMPLE = Graph(9, [(0, 1), (1, 2), (3, 4), (4, 5), (6, 7), (7, 8), (0, 3),
 
 def _hand_built(g, seqs):
     return ChainSet(host=g, chains=tuple(seqs))
+
+
+def _links(cs):
+    return [link for c in cs.chains for link in zip(c, c[1:])]
+
+
+def _run_links(run):
+    return {(u, v) for u, v, _ in run.events}
 
 
 def test_extract_single_chain_on_path():
@@ -81,7 +96,7 @@ def test_partition_and_induced_path_invariants(rng):
             assert {c[0] for c in cs.chains} == set(wit)
             for c in cs.chains:
                 assert is_induced_path(g, c)
-            assert not invalid_links(closure(g, wit), cs.chains)
+            assert set(_links(cs)) <= _run_links(closure(g, wit))
             if g.edge_count:
                 assert cs.trivial_count() <= len(cs.origin) - 1
 
@@ -192,16 +207,17 @@ def test_eliminate_unfavorite_on_witness_graph():
 
 
 def test_repair_may_need_a_different_force_schedule():
-    # the rewrite output here contains the link 3->8, which the synchronous
-    # run of the new origin cannot realize (8 is forced earlier via 4), yet a
-    # one-at-a-time schedule can; repairs are validated by realizability
+    # the rewrite output here contains the link 3->8, which is no force of
+    # the synchronous run of the new origin (8 is forced earlier via 4), yet
+    # a one-at-a-time schedule realizes it; repairs are validated by that rule
     g = parse_graph6("I?aQAHWGO")
     cs = chains_for(g, forcing_number(g)[1])
     fixed = eliminate_bad(cs)
     assert bad_vertices(fixed) == {}
     assert list(fixed.chains) == [(0, 4), (2, 9, 7, 1, 6), (5, 3, 8)]
     assert sequentially_realizable(fixed)
-    assert invalid_links(closure(g, fixed.origin), fixed.chains) == [(3, 8)]
+    run_links = _run_links(closure(g, fixed.origin))
+    assert [link for link in _links(fixed) if link not in run_links] == [(3, 8)]
     assert is_forcing_set(g, fixed.origin)
 
 
@@ -220,6 +236,95 @@ def test_repair_pipeline_over_corpus():
             assert is_forcing_set(g, fixed.origin)
             assert sequentially_realizable(fixed)
             assert check_order_lemmas(fixed) == []
+
+
+# -- the chain rule ----------------------------------------------------------------
+
+
+def test_a_link_along_a_non_edge_does_not_fire():
+    # star with centre 0: 1-3 is no edge, and the heads {0, 1} do not force
+    g = complete_bipartite(1, 3)
+    assert not sequentially_realizable(_hand_built(g, [(0, 2), (1, 3)]))
+    assert not is_forcing_set(g, {0, 1})
+    assert sequentially_realizable(_hand_built(g, [(1, 0), (2,), (3,)]))
+    # a link whose target is colored already never fires
+    assert not sequentially_realizable(_hand_built(g, [(0,), (1, 0), (2,), (3,)]))
+    with pytest.raises(InvalidVertexError):
+        sequentially_realizable(_hand_built(g, [(-1, 0), (2,), (3,)]))
+
+
+def _reference_valid(cs):
+    """Partition, induced paths, and a schedule on the colored set in which
+    u forces v once every other neighbor of u is colored."""
+    g = cs.host
+    if sorted(v for c in cs.chains for v in c) != list(range(g.n)):
+        return False
+    if not all(is_induced_path(g, c) for c in cs.chains):
+        return False
+    colored = set(cs.origin)
+    pointer = [1] * len(cs.chains)
+    while len(colored) < g.n:
+        fired = False
+        for i, c in enumerate(cs.chains):
+            j = pointer[i]
+            if j < len(c) and all(w in colored for w in g.neighbors(c[j - 1]) if w != c[j]):
+                colored.add(c[j])
+                pointer[i] = j + 1
+                fired = True
+        if not fired:
+            return False
+    return True
+
+
+def _random_chain_sets(g, rng):
+    """Extracted chains of a random forcing set, then the same chains with a
+    vertex repeated, dropped or swapped with another, or a chain reversed or
+    cut in two."""
+    while True:
+        subset = rng.sample(range(g.n), rng.randint(1, g.n))
+        if is_forcing_set(g, subset):
+            break
+    chains = [list(c) for c in chains_for(g, subset).chains]
+    yield chains
+    for _ in range(8):
+        seqs = [list(c) for c in chains]
+        c = rng.choice(seqs)
+        v = rng.randrange(g.n)
+        op = rng.randrange(6)
+        if op == 0:
+            c.insert(rng.randint(0, len(c)), v)  # repeat v
+        elif op == 1:
+            c[rng.randrange(len(c))] = v  # repeat v, drop what it replaced
+        elif op == 2 and len(c) > 1:
+            c.pop(rng.randrange(len(c)))  # drop a vertex
+        elif op == 3:
+            c.reverse()
+        elif op == 4:
+            d = rng.choice(seqs)  # swap two vertices
+            a, b = rng.randrange(len(c)), rng.randrange(len(d))
+            c[a], d[b] = d[b], c[a]
+        else:
+            cut = rng.randint(1, len(c))  # cut a chain in two
+            seqs.append(c[cut:])
+            del c[cut:]
+        yield [c for c in seqs if c]
+
+
+def test_validate_matches_partition_induced_paths_and_schedule(rng):
+    verdicts = []
+    for n in range(1, 8):
+        for g in enumerate_connected_subcubic(n):
+            for _ in range(5):
+                for seqs in _random_chain_sets(g, rng):
+                    cs = ChainSet(host=g, chains=tuple(sorted(map(tuple, seqs))))
+                    try:
+                        _validate(cs)
+                        valid = True
+                    except InternalLogicError:
+                        valid = False
+                    assert valid == _reference_valid(cs), cs.chains
+                    verdicts.append(valid)
+    assert 1000 < verdicts.count(True) and 1000 < verdicts.count(False)
 
 
 # -- order lemmas ----------------------------------------------------------------
