@@ -318,7 +318,55 @@ def canonical_form(g):
 
 # -- exhaustive enumeration of connected subcubic graphs -------------------
 
-_ENUM_CAP = 8
+_ENUM_CAP = 10
+
+
+def _refine(g):
+    """Colour refinement from the degrees, until the classes stop splitting.
+
+    Returns the stable colour of each vertex and the sorted signatures of
+    every round.  Colours are numbered by sorted signature, so isomorphic
+    graphs get equal signatures and an isomorphism maps each vertex to one
+    of the same colour.
+    """
+    nbrs = [tuple(_mask_bits(m)) for m in g._adj]
+    colors = [len(vs) for vs in nbrs]
+    rounds = []
+    while True:
+        sigs = [(colors[v], tuple(sorted(colors[w] for w in vs))) for v, vs in enumerate(nbrs)]
+        table = {s: i for i, s in enumerate(sorted(set(sigs)))}
+        rounds.append(tuple(sorted(sigs)))
+        if len(table) == len(set(colors)):
+            return colors, tuple(rounds)
+        colors = [table[s] for s in sigs]
+
+
+def _isomorphic(g, g_colors, h, h_colors):
+    """Exact test for two graphs with equal refinement signatures.
+
+    Backtracks over maps that send the vertices of g, smallest colour class
+    first, to unused vertices of h of the same colour, keeping adjacency to
+    every vertex mapped so far.
+    """
+    order = sorted(range(g.n), key=lambda v: (g_colors.count(g_colors[v]), g_colors[v]))
+    ga, ha = g._adj, h._adj
+    image = []
+
+    def extend(depth, used):
+        if depth == g.n:
+            return True
+        v = order[depth]
+        for w in range(h.n):
+            if used >> w & 1 or h_colors[w] != g_colors[v]:
+                continue
+            if all(ga[v] >> u & 1 == ha[w] >> x & 1 for u, x in zip(order, image)):
+                image.append(w)
+                if extend(depth + 1, used | 1 << w):
+                    return True
+                image.pop()
+        return False
+
+    return extend(0, 0)
 
 
 @lru_cache(maxsize=None)
@@ -326,21 +374,25 @@ def enumerate_connected_subcubic(n):
     """One representative per isomorphism class of connected graphs with max degree <= 3.
 
     Built by repeatedly attaching a new vertex to 1..3 existing vertices of
-    degree < 3 (every connected graph has a build order of this shape), with
-    duplicates rejected through canonical forms.  Output is sorted by
-    canonical form, so the order is deterministic.
+    degree < 3 (every connected graph has a build order of this shape).  A
+    candidate is kept unless it is isomorphic to a kept graph with the same
+    edge count and the same colour-refinement signatures (`_refine`); inside
+    such a group `_isomorphic` decides exactly.  Each class keeps its first
+    candidate in build order, and the output is sorted by canonical form,
+    one `canonical_form` call per class, so the order is deterministic.
     """
     if not 1 <= n <= _ENUM_CAP:
         raise UnsupportedSizeError(f"built-in generator handles 1 <= n <= {_ENUM_CAP}, got {n}")
     if n == 1:
         return [Graph(1)]
-    by_canon = {}
+    buckets = {}
     for g in enumerate_connected_subcubic(n - 1):
         eligible = [u for u in range(g.n) if g.degree(u) < 3]
         for size in (1, 2, 3):
             for subset in itertools.combinations(eligible, size):
                 cand = Graph(g.n + 1, list(g.edges) + [(u, g.n) for u in subset])
-                key = canonical_form(cand)
-                if key not in by_canon:
-                    by_canon[key] = cand
-    return [by_canon[k] for k in sorted(by_canon)]
+                colors, rounds = _refine(cand)
+                kept = buckets.setdefault((cand.edge_count, rounds), [])
+                if not any(_isomorphic(h, hc, cand, colors) for h, hc in kept):
+                    kept.append((cand, colors))
+    return sorted((h for kept in buckets.values() for h, _ in kept), key=canonical_form)

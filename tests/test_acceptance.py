@@ -4,6 +4,8 @@ Run with `pytest tests/test_acceptance.py -s` to see the criterion lines.
 The advisory "never certifies one above the classified nullity at tenfold
 budget" sub-check runs at standard budget by default; set ZF_FULL_ADVISORY=1
 to run the full tenfold version (slow by construction: it can only exhaust).
+The exhaustive tier over every connected subcubic graph with n = 9 and 10
+runs only with ZF_TIER=10 (about a minute).
 """
 
 import os
@@ -39,6 +41,7 @@ from zfpaths.graphs import (
     parse_graph6,
     path_graph,
 )
+from zfpaths.harness import run_suite
 from zfpaths.nullity import NullityCertificate, classify, maximize_nullity
 
 NULLITY_BUDGET = (50, 2000)
@@ -158,6 +161,21 @@ def test_criterion_4_advisory_tenfold_budget():
         g = fig8_graph(lengths)
         over = maximize_nullity(g, 3, budget=(10 * restarts, iters), seed=2024)
         assert not isinstance(over, NullityCertificate)
+
+
+@pytest.mark.skipif(
+    os.environ.get("ZF_TIER") != "10",
+    reason="exhaustive n = 9 and 10 tier only runs with ZF_TIER=10",
+)
+def test_tier_10_every_check_through_ten_vertices():
+    # class counts from OEIS A112410
+    assert [len(enumerate_connected_subcubic(n)) for n in (9, 10)] == [531, 1733]
+    report = run_suite(10)
+    assert report.violations == []
+    # 2,571 connected graphs, and the unions of two, three and four edges
+    assert report.cursor == 2574
+    # the pendant five-cycle with paths of length one is the only figure-8 graph
+    assert report.totals.get("Figure8_F3M2") == 1
 
 
 def test_criterion_5_total_forcing_sharpness():

@@ -1,4 +1,6 @@
+import hashlib
 import itertools
+from collections import defaultdict
 
 import pytest
 
@@ -11,6 +13,8 @@ from zfpaths.errors import (
 )
 from zfpaths.graphs import (
     Graph,
+    _isomorphic,
+    _refine,
     canonical_form,
     complete_graph,
     cycle_graph,
@@ -195,7 +199,7 @@ def test_enumeration_bounds():
     with pytest.raises(UnsupportedSizeError):
         enumerate_connected_subcubic(0)
     with pytest.raises(UnsupportedSizeError):
-        enumerate_connected_subcubic(9)
+        enumerate_connected_subcubic(11)
 
 
 def test_enumeration_soundness():
@@ -221,3 +225,53 @@ def test_enumeration_completeness_up_to_five():
                 expected.add(canonical_form(g))
         got = {canonical_form(g) for g in enumerate_connected_subcubic(n)}
         assert got == expected
+
+
+# sha256 of the graph6 records of enumerate_connected_subcubic(k), k = 1..8,
+# concatenated; computed when the dedup still called canonical_form on every
+# candidate, so a changed representative or order fails here
+_ENUM_DIGEST = "ca2275f35565a8a51e72b1438cd080cde7a0fcf39e5374dcfdadfa649a71269c"
+
+
+def test_enumeration_output_is_pinned():
+    records = "".join(encode_graph6(g) for n in range(1, 9) for g in enumerate_connected_subcubic(n))
+    assert hashlib.sha256(records.encode()).hexdigest() == _ENUM_DIGEST
+
+
+# -- colour refinement and the exact isomorphism test -------------------------------
+
+
+def test_isomorphic_accepts_every_relabeling(rng):
+    for n in range(1, 8):
+        for g in enumerate_connected_subcubic(n):
+            colors, rounds = _refine(g)
+            for _ in range(3):
+                perm = list(range(n))
+                rng.shuffle(perm)
+                h = g.relabel(perm)
+                h_colors, h_rounds = _refine(h)
+                assert h_rounds == rounds
+                assert [h_colors[perm[v]] for v in range(n)] == colors
+                assert _isomorphic(g, colors, h, h_colors)
+
+
+def _shared_buckets(n):
+    """Groups of enumerated graphs that the enumeration's key cannot split."""
+    buckets = defaultdict(list)
+    for g in enumerate_connected_subcubic(n):
+        buckets[g.edge_count, _refine(g)[1]].append(g)
+    return [b for b in buckets.values() if len(b) > 1]
+
+
+def test_isomorphic_rejects_graphs_that_refinement_cannot_split(rng):
+    assert [len(b) for b in _shared_buckets(6)] == [2, 2, 2]
+    assert sum(len(b) for b in _shared_buckets(8)) == 33
+    for n in (6, 7, 8):
+        for g, h in itertools.chain.from_iterable(
+            itertools.combinations(b, 2) for b in _shared_buckets(n)
+        ):
+            assert canonical_form(g) != canonical_form(h)
+            perm = list(range(n))
+            rng.shuffle(perm)
+            for other in (h, h.relabel(perm)):
+                assert not _isomorphic(g, _refine(g)[0], other, _refine(other)[0])
