@@ -93,20 +93,6 @@ def _parse_set(text):
         raise UsageError(f"vertex set must be comma-separated integers, got {text!r}") from None
 
 
-def _emit(payload, args, text_format=None):
-    """JSON to stdout, or raw payload to --out with a confirmation on stdout."""
-    out = getattr(args, "out", None)
-    if out:
-        data = payload if isinstance(payload, str) else json.dumps(payload, indent=2)
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(data)
-            if not data.endswith("\n"):
-                fh.write("\n")
-        print(json.dumps({"out": out, "format": text_format or "json"}))
-    else:
-        print(payload if isinstance(payload, str) else json.dumps(payload))
-
-
 def _cmd_fnum(args):
     g = resolve_graph(args.input)
     f, witness = forcing_number(g)
@@ -157,14 +143,14 @@ def _cmd_chains(args):
 def _cmd_draw(args):
     g = resolve_graph(args.input)
     d = build_parallel_drawing(g)
-    fmt = args.format
-    if fmt is None:
-        ext = os.path.splitext(args.out or "")[1].lstrip(".").lower()
-        fmt = ext if ext in ("svg", "dot", "json") else "json"
-    if fmt != "json" and not args.out:
-        raise UsageError(f"--format {fmt} needs --out; stdout carries only JSON")
-    payload = render(d, fmt)
-    _emit(payload if fmt != "json" else json.loads(payload), args, text_format=fmt)
+    ext = os.path.splitext(args.out or "")[1].lstrip(".").lower()
+    fmt = ext if ext in ("svg", "dot") else "json"
+    text = render(d, fmt)
+    if args.out:
+        with open(args.out, "w", encoding="utf-8") as fh:
+            fh.write(text + "\n")
+        text = json.dumps({"out": args.out, "format": fmt})
+    print(text)
     print(f"{d.k}-row drawing of a graph on {g.n} vertices", file=sys.stderr)
     return 0
 
@@ -282,8 +268,7 @@ def build_parser():
     p.add_argument("--set", default=None)
     p = add("draw", _cmd_draw, help="build and render a parallel-path drawing")
     p.add_argument("input")
-    p.add_argument("--out", default=None)
-    p.add_argument("--format", choices=("svg", "dot", "json"), default=None)
+    p.add_argument("--out", default=None, help="an .svg or .dot name picks that format; else JSON")
     p = add("classify", _cmd_classify, help="forcing number / maximum nullity class")
     p.add_argument("input")
     p = add("nullity", _cmd_nullity, help="certified nullity lower bound")

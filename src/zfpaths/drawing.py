@@ -70,40 +70,45 @@ def _in_box(a, b, p):
 # -- drawing verification ---------------------------------------------------
 
 
-def verify_drawing(g: Graph, d: StandardDrawing) -> list:
-    """Exact validity check: the list of violations, empty when d is valid.
+_NO_PARTITION = "rows do not partition the vertex set"
 
-    The rows must partition the vertices into non-empty induced paths with x
-    strictly increasing along each; otherwise the geometry is not examined.
-    Then no vertex may lie on a cross-row segment it does not end, and two
-    segments without a common end may not cross.  Those two scans decide
-    every other defect: rows sit at distinct heights, so no two vertices
-    coincide; a segment that touches another, or two segments that leave a
-    common end along one ray, put a vertex on a segment.
+
+def _row_violations(g: Graph, rows) -> list:
+    """Why the rows break the rule: a partition of 0..n-1 into non-empty induced paths."""
+    if sorted(v for row in rows for v in row) != list(range(g.n)):
+        return [_NO_PARTITION]
+    return [f"row {i} is empty" for i, row in enumerate(rows) if not row] + [
+        f"row {i} {row} is not an induced path"
+        for i, row in enumerate(rows)
+        if not is_induced_path(g, row)
+    ]
+
+
+def verify_drawing(d: StandardDrawing) -> list:
+    """Exact check of d against its own host: the violations, empty when d is valid.
+
+    The rows must keep `_row_violations`'s rule, with x strictly increasing
+    along each; otherwise the geometry is not examined.  Then no vertex may
+    lie on a cross-row segment it does not end, and two segments without a
+    common end may not cross.  Those two scans decide every other defect:
+    rows sit at distinct heights, so no two vertices coincide; a segment
+    that touches another, or two segments that leave a common end along one
+    ray, put a vertex on a segment.
     """
-    flat = [v for row in d.rows for v in row]
-    if sorted(flat) != list(range(g.n)):
-        return ["rows do not partition the vertex set"]
-    missing = [v for v in flat if v not in d.x]
+    violations = _row_violations(d.host, d.rows)
+    if violations[:1] == [_NO_PARTITION]:
+        return violations
+    missing = [v for row in d.rows for v in row if v not in d.x]
     if missing:
         return [f"vertices without x coordinate: {missing}"]
-    violations = []
-    row_index = {}
     for i, row in enumerate(d.rows):
-        if not row:
-            violations.append(f"row {i} is empty")
-        for v in row:
-            row_index[v] = i
-    for i, row in enumerate(d.rows):
-        if not is_induced_path(g, row):
-            violations.append(f"row {i} {row} is not an induced path")
         for u, v in zip(row, row[1:]):
             if not d.x[u] < d.x[v]:
                 violations.append(f"x not increasing along row {i} at {u},{v}")
     if violations:
         return violations
-    points = {v: (d.x[v], row_index[v]) for v in flat}
-    segments = [(u, v) for u, v in g.edges if row_index[u] != row_index[v]]
+    points = {v: (d.x[v], i) for i, row in enumerate(d.rows) for v in row}
+    segments = [(u, v) for u, v in d.host.edges if points[u][1] != points[v][1]]
     for (a1, b1), (a2, b2) in itertools.combinations(segments, 2):
         if {a1, b1} & {a2, b2}:
             continue
@@ -130,8 +135,8 @@ def leftmost_set(d: StandardDrawing):
 
 
 def realize(g: Graph, rows):
-    """A verified drawing with these rows, or None when no x coordinates pass
-    `verify_drawing`.
+    """A verified drawing of g with these rows, or None when the rows break
+    `_row_violations`'s rule or no x coordinates pass `verify_drawing`.
 
     Each row is an induced path, read left to right.  A segment that spans
     several rows meets each row between its ends inside one gap of that row:
@@ -145,9 +150,7 @@ def realize(g: Graph, rows):
     its gap, which `_solve` decides exactly.
     """
     rows = tuple(tuple(row) for row in rows)
-    if not rows or not all(rows) or sorted(v for row in rows for v in row) != list(range(g.n)):
-        return None
-    if not all(is_induced_path(g, row) for row in rows):
+    if not rows or _row_violations(g, rows):
         return None
     place = {}  # vertex -> (row, 2 * position + 1); gap j of a row is 2 * j
     for i, row in enumerate(rows):
@@ -178,7 +181,7 @@ def realize(g: Graph, rows):
     else:
         return None
     drawing = _integer_grid(StandardDrawing(rows=rows, x=dict(enumerate(x)), host=g))
-    violations = verify_drawing(g, drawing)
+    violations = verify_drawing(drawing)
     if violations:
         raise InternalLogicError(f"realized drawing failed verification: {violations[:3]}")
     return drawing
@@ -431,9 +434,9 @@ def _row_structures(g: Graph, k):
 
 
 def render(d: StandardDrawing, fmt="json"):
-    """Serialize a verified drawing as svg, dot, or json text; svg and dot
-    put it on the smallest integer grid first, as `realize` already does."""
-    violations = verify_drawing(d.host, d)
+    """Serialize a drawing that `verify_drawing` passes as svg, dot, or json
+    text; svg and dot put it on the smallest integer grid first, as `realize` does."""
+    violations = verify_drawing(d)
     if violations:
         raise ContractError(f"refusing to render an invalid drawing: {violations[:3]}")
     if fmt == "json":

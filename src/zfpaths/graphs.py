@@ -270,6 +270,7 @@ def is_induced_path(g, seq):
 ISO_CAP = 10
 
 
+@lru_cache(maxsize=None)
 def canonical_form(g):
     """Minimum graph6 encoding over all vertex relabelings.
 
@@ -280,7 +281,8 @@ def canonical_form(g):
     minimal at every depth.  Every partial labeling whose columns so far are
     minimal is kept and extended by every unlabeled vertex.  Capped at
     n = ISO_CAP: the number of tied labelings grows fast on symmetric
-    graphs such as long cycles.
+    graphs such as long cycles.  Cached, so a graph that the enumeration
+    has sorted by its form is keyed again for free.
     """
     if g.n > ISO_CAP:
         raise UnsupportedSizeError(f"canonical_form capped at n = {ISO_CAP}, got {g.n}")
@@ -317,9 +319,6 @@ def canonical_form(g):
 
 
 # -- exhaustive enumeration of connected subcubic graphs -------------------
-
-_ENUM_CAP = 10
-
 
 def _refine(g):
     """Colour refinement from the degrees, until the classes stop splitting.
@@ -379,10 +378,10 @@ def enumerate_connected_subcubic(n):
     edge count and the same colour-refinement signatures (`_refine`); inside
     such a group `_isomorphic` decides exactly.  Each class keeps its first
     candidate in build order, and the output is sorted by canonical form,
-    one `canonical_form` call per class, so the order is deterministic.
+    so the order is deterministic and n is capped at ISO_CAP.
     """
-    if not 1 <= n <= _ENUM_CAP:
-        raise UnsupportedSizeError(f"built-in generator handles 1 <= n <= {_ENUM_CAP}, got {n}")
+    if not 1 <= n <= ISO_CAP:
+        raise UnsupportedSizeError(f"built-in generator handles 1 <= n <= {ISO_CAP}, got {n}")
     if n == 1:
         return [Graph(1)]
     buckets = {}

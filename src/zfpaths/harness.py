@@ -123,13 +123,16 @@ def run_suite(
 
     source is either an int (built-in enumeration up to that order) or a
     path to a graph6 file.  Records append to out_path as JSONL, one line
-    per graph keyed by canonical form; with resume=True, graphs already
-    present are folded in without recomputation, and so is every later copy
-    of a graph the corpus lists twice.
+    per graph keyed by canonical form, each with the sorted checks that made
+    it; with resume=True, a graph whose record was made by the same checks
+    is folded in without recomputation, and so is every later copy of a
+    graph the corpus lists twice.  A record made by other checks is made
+    again and appended, and `read_records` keeps the later line.
     """
     unknown = set(checks) - set(ALL_CHECKS)
     if unknown:
         raise UnsupportedInputError(f"unknown checks: {sorted(unknown)}")
+    checks = sorted(set(checks))
     if isinstance(source, int):
         graphs = _builtin_corpus(source)
         corpus_id = f"builtin:{source}"
@@ -142,9 +145,8 @@ def run_suite(
     try:
         for g in graphs:
             key = _graph_key(g)
-            if key in done:
-                rec = done[key]
-            else:
+            rec = done.get(key)
+            if rec is None or rec.get("checks") != checks:
                 rec = done[key] = _check_one(g, key, checks, seed, nullity_budget)
                 if sink:
                     sink.write(json.dumps(rec) + "\n")
@@ -168,6 +170,7 @@ def _check_one(g: Graph, key, checks, seed, nullity_budget):
     rec = {
         "graph": key,
         "n": g.n,
+        "checks": checks,
         "f": None,
         "f_t": None,
         "tag": None,
@@ -178,7 +181,7 @@ def _check_one(g: Graph, key, checks, seed, nullity_budget):
         "warnings": [],
         "skipped": False,
     }
-    if g.max_degree() > 3 or g.n > _HARNESS_N_CAP:
+    if g.n == 0 or g.max_degree() > 3 or g.n > _HARNESS_N_CAP:
         rec["skipped"] = True
         return rec
     # one bad graph must not end the run: record the error and carry on

@@ -104,7 +104,7 @@ def test_criterion_3_three_parallel_iff():
             f = forcing_number(g)[0]
             if f == 3:
                 d = build_standard_drawing(g)
-                if d.k != 3 or verify_drawing(g, d):
+                if d.k != 3 or verify_drawing(d):
                     violations.append(("drawing", encode_graph6(g)))
                 if not is_forcing_set(g, leftmost_set(d)):
                     violations.append(("leftmost", encode_graph6(g)))
@@ -127,7 +127,7 @@ def test_criterion_4_classification():
                     violations.append(("nonpath", encode_graph6(g)))
             elif f == 2:
                 d = build_parallel_drawing(g)
-                if d.k != 2 or verify_drawing(g, d):
+                if d.k != 2 or verify_drawing(d):
                     violations.append(("two-row", encode_graph6(g)))
             elif f == 3:
                 cls = classify(g)
@@ -227,7 +227,7 @@ def test_criterion_7_figure_fidelity():
             x={0: Fraction(1), 1: Fraction(1), 2: Fraction(0), 3: Fraction(4), 4: Fraction(-4, 5)},
             host=k5,
         )
-        assert not verify_drawing(k5, d)
+        assert not verify_drawing(d)
         left = leftmost_set(d)
         assert len(left) == 4
         assert is_forcing_set(k5, left)
@@ -240,5 +240,5 @@ def test_criterion_7_figure_fidelity():
              (0, 9), (0, 10), (12, 4), (12, 5), (11, 1), (13, 8), (13, 2), (13, 3)],
         )
         d67 = realize(thick_ladder, ((13,), tuple(range(7)), tuple(range(7, 13))))
-        assert not verify_drawing(thick_ladder, d67)
+        assert not verify_drawing(d67)
         assert d67.x[4] != d67.x[5] and d67.x[9] != d67.x[10]

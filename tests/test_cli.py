@@ -85,10 +85,21 @@ def test_draw_json_stdout(capsys):
     assert payload["k"] == 3 and len(payload["rows"]) == 3
 
 
-def test_draw_svg_to_stdout_is_usage_error(capsys):
+def test_draw_format_is_the_out_extension(capsys, tmp_path):
+    _, document, _ = run_cli(capsys, "draw", "K4")
+    for name, fmt in (("x.svg", "svg"), ("x.json", "json"), ("x", "json")):
+        target = tmp_path / name
+        code, out, _ = run_cli(capsys, "draw", "K4", "--out", str(target))
+        assert code == 0
+        assert json.loads(out) == {"out": str(target), "format": fmt}
+        if fmt == "svg":
+            assert target.read_text().startswith("<svg")
+        else:
+            # the file holds the document that stdout prints without --out
+            assert target.read_text() == document
+    # the format has one source: there is no --format option
     code, _, err = run_cli(capsys, "draw", "K4", "--format", "svg")
-    assert code == 2
-    assert "stdout carries only JSON" in err
+    assert code == 2 and "unrecognized arguments: --format" in err
 
 
 def test_nullity_subcommand(capsys):
@@ -167,6 +178,12 @@ def test_verify_counts_skipped_graphs(capsys, tmp_path):
     assert code == 0
     assert json.loads(out)["totals"] == {"skipped": 1}
     assert "1 graphs, 1 skipped," in err
+    # nor on the graph with no vertices, which has no forcing number
+    corpus.write_text("?\n")
+    code, out, err = run_cli(capsys, "verify", "--corpus", str(corpus))
+    assert code == 0
+    assert json.loads(out)["totals"] == {"skipped": 1}
+    assert "1 graphs, 1 skipped, 0 violations" in err
 
 
 def test_verify_conflicting_sources(capsys):

@@ -9,7 +9,9 @@ from conftest import brute_drawing_ok
 
 from zfpaths.drawing import (
     StandardDrawing,
+    _draw,
     _row_structures,
+    _solve,
     build_parallel_drawing,
     build_standard_drawing,
     leftmost_set,
@@ -20,6 +22,7 @@ from zfpaths.drawing import (
 )
 from zfpaths.errors import (
     ContractError,
+    DrawingConstructionError,
     UnsupportedInputError,
     UnsupportedSizeError,
 )
@@ -53,7 +56,7 @@ THICK_LADDER = Graph(
 
 def test_verify_k5_four_row_drawing():
     d = StandardDrawing(rows=K5_ROWS, x=K5_X, host=K5)
-    assert not verify_drawing(K5, d)
+    assert not verify_drawing(d)
     left = leftmost_set(d)
     assert left == {0, 1, 2, 4}
     assert len(left) == 4
@@ -64,7 +67,7 @@ def test_verify_detects_swapped_pair():
     x = dict(K5_X)
     x[2], x[3] = x[3], x[2]
     d = StandardDrawing(rows=K5_ROWS, x=x, host=K5)
-    assert verify_drawing(K5, d)
+    assert verify_drawing(d)
 
 
 def test_verify_detects_crossing():
@@ -75,14 +78,14 @@ def test_verify_detects_crossing():
         x={0: Fraction(0), 1: Fraction(1), 2: Fraction(0), 3: Fraction(1)},
         host=g,
     )
-    assert any("cross" in v for v in verify_drawing(g, d))
+    assert any("cross" in v for v in verify_drawing(d))
 
 
 def test_verify_one_row_path():
     d = StandardDrawing(
         rows=((0, 1, 2),), x={i: Fraction(i) for i in range(3)}, host=path_graph(3)
     )
-    assert not verify_drawing(path_graph(3), d)
+    assert not verify_drawing(d)
 
 
 def test_verify_catches_vertex_on_segment():
@@ -93,7 +96,7 @@ def test_verify_catches_vertex_on_segment():
         x={0: Fraction(0), 1: Fraction(0), 2: Fraction(0)},
         host=g,
     )
-    assert any("passes through" in v for v in verify_drawing(g, d))
+    assert any("passes through" in v for v in verify_drawing(d))
 
 
 def _random_drawing(rng):
@@ -124,7 +127,7 @@ def test_verify_agrees_with_the_definition_on_degenerate_drawings():
     verdicts = []
     for _ in range(2000):
         g, d = _random_drawing(rng)
-        ok = not verify_drawing(g, d)
+        ok = not verify_drawing(d)
         assert ok == brute_drawing_ok(g, d), (g.edges, d.rows, d.x)
         verdicts.append(ok)
     # both verdicts are common, so neither side of the check is vacuous
@@ -135,7 +138,7 @@ def test_verify_reports_a_row_chord_once():
     # the chord 0-2 makes the row no induced path, and nothing else is reported
     g = Graph(3, [(0, 1), (1, 2), (0, 2)])
     d = StandardDrawing(rows=((0, 1, 2),), x={v: Fraction(v) for v in range(3)}, host=g)
-    assert verify_drawing(g, d) == ["row 0 (0, 1, 2) is not an induced path"]
+    assert verify_drawing(d) == ["row 0 (0, 1, 2) is not an induced path"]
     assert not brute_drawing_ok(g, d)
 
 
@@ -143,7 +146,7 @@ def test_verify_two_segments_along_one_ray():
     # 0-1 and 0-2 leave 0 straight down; the nearer end 1 lies on 0-2
     g = Graph(3, [(0, 1), (0, 2)])
     d = StandardDrawing(rows=((0,), (1,), (2,)), x={v: Fraction(0) for v in range(3)}, host=g)
-    assert verify_drawing(g, d) == ["segment 0-2 passes through vertex 1"]
+    assert verify_drawing(d) == ["segment 0-2 passes through vertex 1"]
     assert not brute_drawing_ok(g, d)
 
 
@@ -155,7 +158,7 @@ def test_verify_end_touching_another_segment():
         x={0: Fraction(0), 1: Fraction(0), 2: Fraction(0), 3: Fraction(1)},
         host=g,
     )
-    assert verify_drawing(g, d) == ["segment 0-2 passes through vertex 1"]
+    assert verify_drawing(d) == ["segment 0-2 passes through vertex 1"]
     assert not brute_drawing_ok(g, d)
 
 
@@ -176,7 +179,7 @@ def test_drawing_tries_every_row_order(code):
     for g in graphs:
         d = build_parallel_drawing(g)
         assert d.k == 3
-        assert not verify_drawing(g, d)
+        assert not verify_drawing(d)
 
 
 @pytest.mark.parametrize(
@@ -201,7 +204,7 @@ def test_realize_draws_pipeline_row_order():
     g = parse_graph6("KaGS?O@s?H@o")
     d = realize(g, ((3, 5, 10, 8, 7), (0, 6, 11, 4, 2), (1, 9)))
     assert d.rows == ((3, 5, 10, 8, 7), (0, 6, 11, 4, 2), (1, 9))
-    assert not verify_drawing(g, d)
+    assert not verify_drawing(d)
     assert is_forcing_set(g, leftmost_set(d))
 
 
@@ -213,6 +216,20 @@ def test_realize_returns_none_without_a_drawing():
     # rows that are not induced paths, or do not partition the vertices
     assert realize(g, ((0, 1, 2, 3),)) is None
     assert realize(g, ((0, 1), (2,))) is None
+
+
+def test_solve_proves_infeasible_systems():
+    # x0 > x1 and x1 > x0 sum to 0 > 0; the zero vector alone reads 0 > 0
+    assert _solve(2, [(1, -1), (-1, 1)]) is None
+    assert _solve(1, [(0,)]) is None
+    x = _solve(2, [(1, -1)])
+    assert x[0] > x[1]
+
+
+def test_draw_raises_when_the_rows_have_no_drawing():
+    # all four segments between the rows of K4 cannot avoid a crossing
+    with pytest.raises(DrawingConstructionError):
+        _draw(complete_graph(4), ((0, 1), (2, 3)))
 
 
 @pytest.mark.parametrize(
@@ -239,7 +256,7 @@ def test_realize_draws_rows_the_ladder_refused(g, rows):
     # realize draws each with exactly these rows
     d = realize(g, rows)
     assert d is not None and d.rows == rows
-    assert not verify_drawing(g, d)
+    assert not verify_drawing(d)
 
 
 # -- figure 6 / figure 7 construction ---------------------------------------------
@@ -256,7 +273,7 @@ def test_thick_ladder_thick_split_drawing_verifies():
     # 13 has three edges into the two rows below
     d = realize(THICK_LADDER, ((13,), tuple(range(7)), tuple(range(7, 13))))
     assert d.rows == ((13,), tuple(range(7)), tuple(range(7, 13)))
-    assert not verify_drawing(THICK_LADDER, d)
+    assert not verify_drawing(d)
     # the thick pairs end up split into distinct coordinates
     assert d.x[4] != d.x[5] and d.x[9] != d.x[10]
 
@@ -265,7 +282,7 @@ def test_thick_ladder_full_pipeline():
     assert forcing_number(THICK_LADDER)[0] == 3
     d = build_standard_drawing(THICK_LADDER)
     assert d.k == 3
-    assert not verify_drawing(THICK_LADDER, d)
+    assert not verify_drawing(d)
 
 
 # -- full pipeline ------------------------------------------------------------------
@@ -275,14 +292,14 @@ def test_build_standard_drawing_k4():
     d = build_standard_drawing(complete_graph(4))
     assert d.k == 3
     assert sorted(len(r) for r in d.rows) == [1, 1, 2]
-    assert not verify_drawing(complete_graph(4), d)
+    assert not verify_drawing(d)
 
 
 def test_build_standard_drawing_fig8_instance():
     g = fig8_graph([1, 1, 1, 1, 1])
     d = build_standard_drawing(g)
     assert d.k == 3
-    assert not verify_drawing(g, d)
+    assert not verify_drawing(d)
 
 
 def test_build_standard_drawing_rejects_wrong_f():
@@ -295,14 +312,14 @@ def test_build_standard_drawing_rejects_wrong_f():
 def test_build_standard_drawing_edgeless():
     d = build_standard_drawing(Graph(3))
     assert d.k == 3
-    assert not verify_drawing(Graph(3), d)
+    assert not verify_drawing(d)
 
 
 def test_build_standard_drawing_disconnected():
     g = disjoint_union([cycle_graph(4), Graph(1)])
     assert forcing_number(g)[0] == 3
     d = build_standard_drawing(g)
-    assert not verify_drawing(g, d)
+    assert not verify_drawing(d)
 
 
 @pytest.mark.parametrize(
@@ -319,7 +336,7 @@ def test_pipeline_regressions_beyond_corpus(code):
     g = parse_graph6(code)
     assert forcing_number(g)[0] == 3
     d = build_standard_drawing(g)
-    assert not verify_drawing(g, d)
+    assert not verify_drawing(d)
     assert is_forcing_set(g, leftmost_set(d))
 
 
@@ -331,7 +348,7 @@ def test_pipeline_on_small_corpus():
                 continue
             d = build_standard_drawing(g)
             assert d.k == 3
-            assert not verify_drawing(g, d)
+            assert not verify_drawing(d)
             assert is_forcing_set(g, leftmost_set(d))
 
 
@@ -367,7 +384,7 @@ def test_search_k5_reproduces_four_parallel_paths():
     assert d is not None
     assert d.k == 4
     assert sorted(len(r) for r in d.rows) == [1, 1, 1, 2]
-    assert not verify_drawing(K5, d)
+    assert not verify_drawing(d)
     assert is_forcing_set(K5, leftmost_set(d))
 
 

@@ -94,9 +94,9 @@ def test_suite_verifies_each_drawing_once(monkeypatch):
     calls = []
     real = drawing.verify_drawing
 
-    def spy(g, d):
-        calls.append(g)
-        return real(g, d)
+    def spy(d):
+        calls.append(d.host)
+        return real(d)
 
     # every zfpaths module that binds the verifier by name calls the spy
     for name, mod in list(sys.modules.items()):
@@ -217,6 +217,22 @@ def test_resume_drops_torn_last_line(tmp_path):
     lines = out.read_text().splitlines()
     assert len(lines) == resumed.cursor
     assert all(json.loads(line)["graph"] for line in lines)
+
+
+def test_resume_remakes_records_made_by_other_checks(tmp_path, monkeypatch):
+    # records of an E_bounds-only run have no drawing or nullity fields set
+    out = tmp_path / "r.jsonl"
+    assert main(["verify", "--nmax", "4", "--checks", "E_bounds", "--out", str(out)]) == 0
+    resumed = run_suite(4, out_path=str(out), resume=True)
+    fresh = run_suite(4)
+    assert diff_records(fresh.records, resumed.records) == []
+    # the remade records were appended, and the file's later lines win
+    assert diff_records(fresh.records, harness.read_records(str(out))[0]) == []
+    # a run under the checks that made the records reuses every one
+    checked = []
+    monkeypatch.setattr(harness, "_check_one", lambda g, key, *args: checked.append(key))
+    again = run_suite(4, out_path=str(out), resume=True)
+    assert checked == [] and diff_records(fresh.records, again.records) == []
 
 
 def test_all_checks_constant():
