@@ -1,8 +1,11 @@
 """Command-line interface: thin adapters over the library, JSON on stdout.
 
 Graphs are given as graph6 literals, file paths, or builtin names such as
-K4, P7, C5, K3,3 and fig8:1,1,1,1,1.  Human-readable notes go to stderr;
-stdout carries exactly one JSON document per invocation.
+K4, P7, C5, K3,3 and fig8:1,1,1,1,1.  Each subcommand's handler returns its
+JSON document and a human-readable note (`verify` and `diff` also their exit
+status), and `main` is the one writer: it resolves the graph input, prints
+the document as one line on stdout and the note on stderr, or, on an error,
+nothing on stdout and the error on stderr with exit status 2.
 """
 
 from __future__ import annotations
@@ -93,26 +96,20 @@ def _parse_set(text):
         raise UsageError(f"vertex set must be comma-separated integers, got {text!r}") from None
 
 
-def _cmd_fnum(args):
-    g = resolve_graph(args.input)
+def _cmd_fnum(g, args):
     f, witness = forcing_number(g)
-    print(json.dumps({"f": f, "witness": list(witness)}))
-    print(f"forcing number {f} of a graph on {g.n} vertices", file=sys.stderr)
-    return 0
+    return {"f": f, "witness": list(witness)}, f"forcing number {f} of a graph on {g.n} vertices"
 
 
-def _cmd_tfnum(args):
-    g = resolve_graph(args.input)
+def _cmd_tfnum(g, args):
     ft, witness = total_forcing_number(g)
-    print(json.dumps({"f_t": ft, "witness": list(witness)}))
-    print(f"total forcing number {ft} of a graph on {g.n} vertices", file=sys.stderr)
-    return 0
+    note = f"total forcing number {ft} of a graph on {g.n} vertices"
+    return {"f_t": ft, "witness": list(witness)}, note
 
 
-def _cmd_closure(args):
-    g = resolve_graph(args.input)
+def _cmd_closure(g, args):
     run = closure(g, _parse_set(args.set))
-    payload = {
+    document = {
         "initial": sorted(run.initial),
         "layers": [sorted(layer) for layer in run.layers],
         "step_of": {str(v): s for v, s in sorted(run.step_of.items())},
@@ -120,79 +117,55 @@ def _cmd_closure(args):
         "derived": sorted(run.derived),
         "complete": run.complete,
     }
-    print(json.dumps(payload))
-    print(
-        f"derived {len(run.derived)}/{g.n} vertices in {len(run.layers) - 1} steps",
-        file=sys.stderr,
-    )
-    return 0
+    return document, f"derived {len(run.derived)}/{g.n} vertices in {len(run.layers) - 1} steps"
 
 
-def _cmd_chains(args):
-    g = resolve_graph(args.input)
+def _cmd_chains(g, args):
     if args.set is not None:
         colored = _parse_set(args.set)
     else:
         colored = forcing_number(g)[1]
     cs = chains_for(g, colored)
-    print(json.dumps(cs.to_json()))
-    print(f"{len(cs.chains)} chains, {cs.trivial_count()} trivial", file=sys.stderr)
-    return 0
+    return cs.to_json(), f"{len(cs.chains)} chains, {cs.trivial_count()} trivial"
 
 
-def _cmd_draw(args):
-    g = resolve_graph(args.input)
+def _cmd_draw(g, args):
     d = build_parallel_drawing(g)
-    ext = os.path.splitext(args.out or "")[1].lstrip(".").lower()
+    note = f"{d.k}-row drawing of a graph on {g.n} vertices"
+    if not args.out:
+        # realize has verified d, so the document needs no second check by render
+        return drawing_to_json_obj(d), note
+    ext = os.path.splitext(args.out)[1].lstrip(".").lower()
     fmt = ext if ext in ("svg", "dot") else "json"
-    text = render(d, fmt)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
-        text = json.dumps({"out": args.out, "format": fmt})
-    print(text)
-    print(f"{d.k}-row drawing of a graph on {g.n} vertices", file=sys.stderr)
-    return 0
+    with open(args.out, "w", encoding="utf-8") as fh:
+        fh.write(render(d, fmt) + "\n")
+    return {"out": args.out, "format": fmt}, note
 
 
-def _cmd_classify(args):
-    g = resolve_graph(args.input)
+def _cmd_classify(g, args):
     cls = classify(g)
-    print(json.dumps(cls.to_json_obj()))
-    print(f"class {cls.tag}", file=sys.stderr)
-    return 0
+    return cls.to_json_obj(), f"class {cls.tag}"
 
 
-def _cmd_nullity(args):
-    g = resolve_graph(args.input)
+def _cmd_nullity(g, args):
     result = maximize_nullity(g, args.target, budget=args.budget, seed=args.seed)
     if isinstance(result, NullityCertificate):
-        print(json.dumps(result.to_json_obj()))
-        print(f"certified nullity {result.k} (gap {result.gap:.2e})", file=sys.stderr)
-    else:
-        keys = ("target", "best_k", "left_pattern", "stalled")
-        print(json.dumps({"achieved": False, **{k: getattr(result, k) for k in keys}}))
-        print(
-            f"target {result.target} not achieved; best certified {result.best_k}; "
-            f"of {result.restarts} restarts, {result.stalled} stalled short of the zero "
-            f"threshold and {result.left_pattern} reached it below the weight floor",
-            file=sys.stderr,
-        )
-    return 0
+        return result.to_json_obj(), f"certified nullity {result.k} (gap {result.gap:.2e})"
+    keys = ("target", "best_k", "left_pattern", "stalled")
+    return {"achieved": False, **{k: getattr(result, k) for k in keys}}, (
+        f"target {result.target} not achieved; best certified {result.best_k}; "
+        f"of {result.restarts} restarts, {result.stalled} stalled short of the zero "
+        f"threshold and {result.left_pattern} reached it below the weight floor"
+    )
 
 
-def _cmd_search_draw(args):
-    g = resolve_graph(args.input)
+def _cmd_search_draw(g, args):
     d = search_drawing(g, args.k)
     if d is None:
-        print(json.dumps({"found": False, "k": args.k}))
-        print(f"no drawing with at most {args.k} rows exists", file=sys.stderr)
-    else:
-        obj = drawing_to_json_obj(d)
-        obj["found"] = True
-        print(json.dumps(obj))
-        print(f"found a {d.k}-row drawing", file=sys.stderr)
-    return 0
+        return {"found": False, "k": args.k}, f"no drawing with at most {args.k} rows exists"
+    document = drawing_to_json_obj(d)
+    document["found"] = True
+    return document, f"found a {d.k}-row drawing"
 
 
 def _cmd_verify(args):
@@ -210,38 +183,32 @@ def _cmd_verify(args):
         seed=args.seed,
         nullity_budget=args.budget,
     )
-    payload = {
+    document = {
         "corpus": report.corpus_id,
         "graphs": report.cursor,
         "totals": report.totals,
         "violations": [list(v) for v in report.violations],
         "warnings": [list(w) for w in report.warnings],
     }
-    print(json.dumps(payload))
-    print(
+    note = (
         f"{report.cursor} graphs, {report.totals.get('skipped', 0)} skipped, "
-        f"{len(report.violations)} violations, "
-        f"{len(report.warnings)} warnings",
-        file=sys.stderr,
+        f"{len(report.violations)} violations, {len(report.warnings)} warnings"
     )
-    return 0 if report.ok else 1
+    return document, note, 0 if report.ok else 1
 
 
 def _cmd_diff(args):
     first, second = (harness.read_records(path)[0] for path in (args.first, args.second))
     lines = harness.diff_records(first, second)
-    payload = {"first": args.first, "second": args.second, "records": [len(first), len(second)]}
-    print(json.dumps({**payload, "same": not lines, "differences": lines}))
-    print(f"{len(lines)} differences between the records", file=sys.stderr)
-    return 1 if lines else 0
+    document = {"first": args.first, "second": args.second, "records": [len(first), len(second)]}
+    note = f"{len(lines)} differences between the records"
+    return {**document, "same": not lines, "differences": lines}, note, 1 if lines else 0
 
 
 def _cmd_enumerate(args):
     graphs = enumerate_connected_subcubic(args.n)
-    payload = {"n": args.n, "count": len(graphs), "graphs": [encode_graph6(g) for g in graphs]}
-    print(json.dumps(payload))
-    print(f"{len(graphs)} connected graphs of max degree 3 on {args.n} vertices", file=sys.stderr)
-    return 0
+    document = {"n": args.n, "count": len(graphs), "graphs": [encode_graph6(g) for g in graphs]}
+    return document, f"{len(graphs)} connected graphs of max degree 3 on {args.n} vertices"
 
 
 def build_parser():
@@ -251,35 +218,29 @@ def build_parser():
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, fn, **kwargs):
+    def add(name, fn, graph=True, **kwargs):
         p = sub.add_parser(name, **kwargs)
         p.set_defaults(handler=fn)
+        if graph:
+            p.add_argument("input")
         return p
 
-    p = add("fnum", _cmd_fnum, help="minimum forcing set")
-    p.add_argument("input")
-    p = add("tfnum", _cmd_tfnum, help="minimum total forcing set")
-    p.add_argument("input")
+    add("fnum", _cmd_fnum, help="minimum forcing set")
+    add("tfnum", _cmd_tfnum, help="minimum total forcing set")
     p = add("closure", _cmd_closure, help="run the forcing process from a set")
-    p.add_argument("input")
     p.add_argument("--set", required=True, help="comma-separated vertex ids")
     p = add("chains", _cmd_chains, help="forcing chains of a minimum (or given) set")
-    p.add_argument("input")
     p.add_argument("--set", default=None)
     p = add("draw", _cmd_draw, help="build and render a parallel-path drawing")
-    p.add_argument("input")
     p.add_argument("--out", default=None, help="an .svg or .dot name picks that format; else JSON")
-    p = add("classify", _cmd_classify, help="forcing number / maximum nullity class")
-    p.add_argument("input")
+    add("classify", _cmd_classify, help="forcing number / maximum nullity class")
     p = add("nullity", _cmd_nullity, help="certified nullity lower bound")
-    p.add_argument("input")
     p.add_argument("--target", type=int, required=True)
     p.add_argument("--budget", type=_parse_budget, default=(50, 2000))
     p.add_argument("--seed", type=_int_at_least("--seed", 0), default=0)
     p = add("search-draw", _cmd_search_draw, help="exact search for a drawing with at most k rows")
-    p.add_argument("input")
     p.add_argument("--k", type=_int_at_least("--k", 1), required=True)
-    p = add("verify", _cmd_verify, help="batch theorem verification")
+    p = add("verify", _cmd_verify, graph=False, help="batch theorem verification")
     p.add_argument("--nmax", type=_int_at_least("--nmax", 1), default=None)
     p.add_argument("--corpus", default=None)
     p.add_argument("--checks", default=None)
@@ -287,10 +248,14 @@ def build_parser():
     p.add_argument("--out", default=None)
     p.add_argument("--seed", type=_int_at_least("--seed", 0), default=0)
     p.add_argument("--budget", type=_parse_budget, default=(50, 2000))
-    p = add("diff", _cmd_diff, help="compare two verify --out record files, timings aside")
+    p = add(
+        "diff", _cmd_diff, graph=False, help="compare two verify --out record files, timings aside"
+    )
     p.add_argument("first")
     p.add_argument("second")
-    p = add("enumerate", _cmd_enumerate, help="connected subcubic graphs up to isomorphism")
+    p = add(
+        "enumerate", _cmd_enumerate, graph=False, help="connected subcubic graphs up to isomorphism"
+    )
     p.add_argument("--n", type=int, required=True)
     return parser
 
@@ -300,7 +265,10 @@ def main(argv=None) -> int:
     try:
         # argument type functions raise UsageError while parsing
         args = parser.parse_args(argv)
-        return args.handler(args)
+        if "input" in args:
+            result = args.handler(resolve_graph(args.input), args)
+        else:
+            result = args.handler(args)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     except UsageError as exc:
@@ -312,6 +280,10 @@ def main(argv=None) -> int:
     except ZfError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    document, note, *status = result
+    print(json.dumps(document))
+    print(note, file=sys.stderr)
+    return status[0] if status else 0
 
 
 if __name__ == "__main__":

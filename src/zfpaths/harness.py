@@ -123,16 +123,18 @@ def run_suite(
 
     source is either an int (built-in enumeration up to that order) or a
     path to a graph6 file.  Records append to out_path as JSONL, one line
-    per graph keyed by canonical form, each with the sorted checks that made
-    it; with resume=True, a graph whose record was made by the same checks
-    is folded in without recomputation, and so is every later copy of a
-    graph the corpus lists twice.  A record made by other checks is made
-    again and appended, and `read_records` keeps the later line.
+    per graph keyed by canonical form, each with the sorted checks, the seed
+    and the nullity budget that made it; with resume=True, a graph whose
+    record was made under the same three is folded in without recomputation,
+    and so is every later copy of a graph the corpus lists twice.  A record
+    made under others, or one that lacks them, is made again and appended,
+    and `read_records` keeps the later line.
     """
     unknown = set(checks) - set(ALL_CHECKS)
     if unknown:
         raise UnsupportedInputError(f"unknown checks: {sorted(unknown)}")
     checks = sorted(set(checks))
+    made_by = {"checks": checks, "seed": seed, "budget": list(nullity_budget)}
     if isinstance(source, int):
         graphs = _builtin_corpus(source)
         corpus_id = f"builtin:{source}"
@@ -146,7 +148,7 @@ def run_suite(
         for g in graphs:
             key = _graph_key(g)
             rec = done.get(key)
-            if rec is None or rec.get("checks") != checks:
+            if rec is None or any(rec.get(k) != v for k, v in made_by.items()):
                 rec = done[key] = _check_one(g, key, checks, seed, nullity_budget)
                 if sink:
                     sink.write(json.dumps(rec) + "\n")
@@ -171,6 +173,8 @@ def _check_one(g: Graph, key, checks, seed, nullity_budget):
         "graph": key,
         "n": g.n,
         "checks": checks,
+        "seed": seed,
+        "budget": list(nullity_budget),
         "f": None,
         "f_t": None,
         "tag": None,

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from zfpaths.cli import main, resolve_graph
+from zfpaths.cli import build_parser, main, resolve_graph
 from zfpaths.errors import UsageError
 from zfpaths.graphs import Graph, complete_bipartite, complete_graph, fig8_graph, path_graph
 from zfpaths.nullity import certify
@@ -22,11 +22,15 @@ def test_resolve_builtins():
     assert resolve_graph("C~") == complete_graph(4)
 
 
-def test_resolve_rejects_garbage():
+def test_resolve_rejects_garbage(tmp_path):
     with pytest.raises(UsageError):
         resolve_graph("K4,")
     with pytest.raises(UsageError):
         resolve_graph("!!nope")
+    corpus = tmp_path / "two.g6"
+    corpus.write_text("C~\nBw\n")
+    with pytest.raises(UsageError, match="holds 2 graphs; expected exactly one"):
+        resolve_graph(str(corpus))
 
 
 def test_fnum_k4(capsys):
@@ -304,3 +308,68 @@ def test_malformed_corpus_record_names_its_line(capsys, tmp_path, argv, content,
     code, out, err = run_cli(capsys, *argv, str(corpus))
     assert code == 2 and out == ""
     assert err.startswith(message)
+
+
+# every subcommand, once on success and once on failure; {dir} is a scratch
+# directory holding one records file, r.jsonl, and a corpus of two graphs, two.g6
+CONTRACT_SUCCESS = [
+    ("fnum", "K4"),
+    ("tfnum", "P4"),
+    ("closure", "C4", "--set", "0,1"),
+    ("chains", "K4"),
+    ("draw", "K4"),
+    ("classify", "P7"),
+    ("nullity", "C4", "--target", "2", "--budget", "8x600"),
+    ("search-draw", "P5", "--k", "1"),
+    ("verify", "--nmax", "3", "--budget", "10x500"),
+    ("diff", "{dir}/r.jsonl", "{dir}/r.jsonl"),
+    ("enumerate", "--n", "4"),
+]
+CONTRACT_FAILURE = [
+    ("fnum", "Q17"),
+    ("tfnum", "P1"),
+    ("closure", "P3", "--set", "a"),
+    ("chains", "K4", "--set", ""),
+    ("draw", "K4", "--out", "{dir}/missing/d.svg"),
+    ("classify", "{dir}/two.g6"),
+    ("nullity", "K4", "--target", "3", "--seed", "-1"),
+    ("search-draw", "K4", "--k", "0"),
+    ("verify",),
+    ("diff", "{dir}/r.jsonl", "{dir}/missing.jsonl"),
+    ("enumerate", "--n", "11"),
+]
+
+
+@pytest.fixture
+def contract_dir(tmp_path):
+    (tmp_path / "r.jsonl").write_text(json.dumps({"graph": "A_", "f": 1}) + "\n")
+    (tmp_path / "two.g6").write_text("C~\nBw\n")
+    return tmp_path
+
+
+def test_contract_lists_every_subcommand():
+    commands = set(build_parser()._subparsers._group_actions[0].choices)
+    assert {argv[0] for argv in CONTRACT_SUCCESS} == {argv[0] for argv in CONTRACT_FAILURE}
+    assert {argv[0] for argv in CONTRACT_SUCCESS} == commands and len(commands) == 11
+
+
+@pytest.mark.parametrize("argv", CONTRACT_SUCCESS, ids=lambda argv: argv[0])
+def test_success_prints_one_document_and_one_note(capsys, contract_dir, argv):
+    code, out, err = run_cli(capsys, *(a.format(dir=contract_dir) for a in argv))
+    assert code == 0
+    assert out.count("\n") == 1 and out.endswith("\n")
+    assert isinstance(json.loads(out), dict)
+    assert err.count("\n") == 1 and err.endswith("\n")
+
+
+@pytest.mark.parametrize("argv", CONTRACT_FAILURE, ids=lambda argv: argv[0])
+def test_failure_prints_nothing_on_stdout(capsys, contract_dir, argv):
+    code, out, err = run_cli(capsys, *(a.format(dir=contract_dir) for a in argv))
+    assert code == 2 and out == ""
+    assert err.startswith(("usage error:", "error:", "I/O error:"))
+
+
+def test_closure_set_must_be_integers(capsys):
+    code, out, err = run_cli(capsys, "closure", "P3", "--set", "a")
+    assert code == 2 and out == ""
+    assert err == "usage error: vertex set must be comma-separated integers, got 'a'\n"

@@ -142,6 +142,21 @@ def test_verify_reports_a_row_chord_once():
     assert not brute_drawing_ok(g, d)
 
 
+def test_verify_rows_that_do_not_partition_give_that_message_alone():
+    # row (0, 1, 2) is no induced path of K4, vertex 3 is in no row and no
+    # vertex has x: the partition rule fails first, and nothing else is read
+    d = StandardDrawing(rows=((0, 1, 2),), x={}, host=complete_graph(4))
+    assert verify_drawing(d) == ["rows do not partition the vertex set"]
+    # a vertex in two rows breaks the partition as well
+    d = StandardDrawing(rows=((0, 1), (1, 2)), x={}, host=path_graph(3))
+    assert verify_drawing(d) == ["rows do not partition the vertex set"]
+
+
+def test_verify_names_vertices_without_x():
+    d = StandardDrawing(rows=((0, 1, 2),), x={0: Fraction(0), 2: Fraction(2)}, host=path_graph(3))
+    assert verify_drawing(d) == ["vertices without x coordinate: [1]"]
+
+
 def test_verify_two_segments_along_one_ray():
     # 0-1 and 0-2 leave 0 straight down; the nearer end 1 lies on 0-2
     g = Graph(3, [(0, 1), (0, 2)])

@@ -21,6 +21,7 @@ from zfpaths.graphs import (
     disjoint_union,
     encode_graph6,
     enumerate_connected_subcubic,
+    fig8_graph,
     is_induced_path,
     parse_graph6,
     path_graph,
@@ -42,6 +43,18 @@ def test_graph_rejects_loops_and_bad_ids():
         Graph(3, [(1, 1)])
     with pytest.raises(InvalidVertexError):
         Graph(3, [(0, 3)])
+    with pytest.raises(InvalidVertexError, match="nonnegative, got -1"):
+        Graph(-1)
+    with pytest.raises(InvalidVertexError, match="permutation"):
+        path_graph(3).relabel([0, 0, 1])
+
+
+def test_builders_reject_bad_input():
+    with pytest.raises(InvalidVertexError, match="at least 3 vertices"):
+        cycle_graph(2)
+    for lengths in ([1, 1, 1, 1], [1, 1, 1, 1, 1, 1], [1, 1, 0, 1, 1]):
+        with pytest.raises(InvalidVertexError, match="five pendant path lengths"):
+            fig8_graph(lengths)
 
 
 def test_components_and_connectivity():
@@ -79,6 +92,13 @@ def test_parse_errors_name_offsets():
     assert exc.value.offset == 1
     with pytest.raises(UnsupportedSizeError):
         encode_graph6(Graph(63))
+    # "Aa" is n = 2 with its one edge bit set and a padding bit set after it
+    cases = (("", "empty", 0), ("C\u00e9", "non-ASCII", 1), ("Aa", "padding", 1))
+    for text, message, offset in cases:
+        with pytest.raises(GraphFormatError, match=message) as exc:
+            parse_graph6(text)
+        assert exc.value.offset == offset
+    assert parse_graph6("A_") == path_graph(2)
 
 
 def test_codec_round_trip_on_corpus():

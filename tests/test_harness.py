@@ -233,6 +233,21 @@ def test_resume_remakes_records_made_by_other_checks(tmp_path, monkeypatch):
     monkeypatch.setattr(harness, "_check_one", lambda g, key, *args: checked.append(key))
     again = run_suite(4, out_path=str(out), resume=True)
     assert checked == [] and diff_records(fresh.records, again.records) == []
+    monkeypatch.undo()
+    # so is a run under another nullity budget: one Newton step per restart
+    # certifies no classified nullity, and the resumed run must not say so
+    assert main(["verify", "--nmax", "4", "--budget", "1x1", "--out", str(out)]) == 1
+    resumed = run_suite(4, out_path=str(out), resume=True)
+    assert resumed.ok and diff_records(fresh.records, resumed.records) == []
+    # and under another seed, which may change what the search certifies
+    assert main(["verify", "--nmax", "4", "--seed", "1", "--out", str(out)]) == 0
+    real = harness._check_one
+    monkeypatch.setattr(
+        harness, "_check_one", lambda g, key, *args: checked.append(key) or real(g, key, *args)
+    )
+    resumed = run_suite(4, out_path=str(out), resume=True)
+    assert len(checked) == resumed.cursor == 11
+    assert diff_records(fresh.records, resumed.records) == []
 
 
 def test_all_checks_constant():
