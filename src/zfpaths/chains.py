@@ -27,12 +27,7 @@ import itertools
 from dataclasses import dataclass
 from functools import cached_property
 
-from .errors import (
-    ContractError,
-    InternalLogicError,
-    NotForcingSetError,
-    UnsupportedInputError,
-)
+from .errors import ContractError, InternalLogicError, UnsupportedInputError
 from .forcing import ForcingRun, closure
 from .graphs import Graph
 
@@ -121,7 +116,7 @@ class ChainSet:
 def extract_chains(run: ForcingRun) -> ChainSet:
     """Chains of a complete forcing run, resolving forcer ties by lowest id."""
     if not run.complete:
-        raise NotForcingSetError("chain extraction needs a complete forcing run")
+        raise ContractError("chain extraction needs a complete forcing run")
     chosen = {}
     for u, v, _ in run.events:
         if v not in chosen or u < chosen[v]:

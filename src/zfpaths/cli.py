@@ -89,6 +89,14 @@ def _int_at_least(option, low):
     return integer
 
 
+def _parse_checks(text):
+    checks = tuple(text.split(","))
+    unknown = set(checks) - set(harness.ALL_CHECKS)
+    if unknown:
+        raise UsageError(f"unknown checks: {sorted(unknown)}")
+    return checks
+
+
 def _parse_set(text):
     try:
         return [int(t) for t in text.split(",") if t != ""]
@@ -174,10 +182,9 @@ def _cmd_verify(args):
     if args.resume and not args.out:
         raise UsageError("--resume needs --out, the records file to resume from")
     source = args.nmax if args.nmax is not None else args.corpus
-    checks = tuple(args.checks.split(",")) if args.checks is not None else harness.ALL_CHECKS
     report = harness.run_suite(
         source,
-        checks=checks,
+        checks=args.checks,
         resume=args.resume,
         out_path=args.out,
         seed=args.seed,
@@ -235,7 +242,7 @@ def build_parser():
     p.add_argument("--out", default=None, help="an .svg or .dot name picks that format; else JSON")
     add("classify", _cmd_classify, help="forcing number / maximum nullity class")
     p = add("nullity", _cmd_nullity, help="certified nullity lower bound")
-    p.add_argument("--target", type=int, required=True)
+    p.add_argument("--target", type=_int_at_least("--target", 1), required=True)
     p.add_argument("--budget", type=_parse_budget, default=(50, 2000))
     p.add_argument("--seed", type=_int_at_least("--seed", 0), default=0)
     p = add("search-draw", _cmd_search_draw, help="exact search for a drawing with at most k rows")
@@ -243,7 +250,7 @@ def build_parser():
     p = add("verify", _cmd_verify, graph=False, help="batch theorem verification")
     p.add_argument("--nmax", type=_int_at_least("--nmax", 1), default=None)
     p.add_argument("--corpus", default=None)
-    p.add_argument("--checks", default=None)
+    p.add_argument("--checks", type=_parse_checks, default=harness.ALL_CHECKS)
     p.add_argument("--resume", action="store_true")
     p.add_argument("--out", default=None)
     p.add_argument("--seed", type=_int_at_least("--seed", 0), default=0)
@@ -256,7 +263,7 @@ def build_parser():
     p = add(
         "enumerate", _cmd_enumerate, graph=False, help="connected subcubic graphs up to isomorphism"
     )
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_int_at_least("--n", 1), required=True)
     return parser
 
 

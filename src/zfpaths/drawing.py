@@ -24,13 +24,7 @@ from fractions import Fraction
 from math import ceil, floor, gcd, lcm
 
 from .chains import chains_for, eliminate_bad, eliminate_unfavorite
-from .errors import (
-    ContractError,
-    DrawingConstructionError,
-    InternalLogicError,
-    UnsupportedInputError,
-    UnsupportedSizeError,
-)
+from .errors import ContractError, InternalLogicError, UnsupportedInputError
 from .forcing import forcing_number
 from .graphs import Graph, is_induced_path
 
@@ -314,7 +308,7 @@ def _integer_grid(d: StandardDrawing) -> StandardDrawing:
 def _draw(g: Graph, rows) -> StandardDrawing:
     d = realize(g, rows)
     if d is None:
-        raise DrawingConstructionError(f"no drawing with rows {rows}")
+        raise InternalLogicError(f"no drawing with rows {rows}")
     return d
 
 
@@ -329,8 +323,8 @@ def build_standard_drawing(g: Graph) -> StandardDrawing:
     pair (the two chains with the fewest trivial members, then the most
     cross edges), drawn by `realize`.  The chains are not prechecked: the
     repairs exit with no bad or unfavorite vertex, and rows with an
-    inverting segment pair or triple have no drawing.  DrawingConstructionError
-    means that row order has no drawing at all.
+    inverting segment pair or triple have no drawing.  InternalLogicError
+    means that row order has no drawing at all, which the theorem rules out.
     """
     if g.max_degree() > 3:
         raise UnsupportedInputError("standard drawings need maximum degree <= 3")
@@ -385,7 +379,7 @@ def search_drawing(g: Graph, k):
     so None is a proof; the search is capped at n = 8.
     """
     if g.n > _SEARCH_CAP:
-        raise UnsupportedSizeError(f"search capped at n = {_SEARCH_CAP}")
+        raise UnsupportedInputError(f"search capped at n = {_SEARCH_CAP}")
     if g.n == 0 or k < 1:
         return None
     tried = set()

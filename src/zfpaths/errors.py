@@ -1,4 +1,4 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package: one type per kind of fault."""
 
 
 class ZfError(Exception):
@@ -15,40 +15,25 @@ class GraphFormatError(ZfError):
         self.offset = offset
 
 
-class UnsupportedSizeError(ZfError):
-    """Input exceeds a documented size cap."""
-
-
 class InvalidVertexError(ZfError):
-    """A vertex id is outside 0..n-1."""
-
-
-class InvalidSequenceError(ZfError):
-    """A vertex sequence violates its contract (e.g. repeated vertex)."""
-
-
-class NotForcingSetError(ZfError):
-    """Operation requires a complete forcing run."""
+    """A vertex id or vertex count is out of range, or a vertex sequence
+    repeats a vertex."""
 
 
 class UnsupportedInputError(ZfError):
-    """Input is valid but outside the operation's contract."""
-
-
-class IsolatedVertexError(UnsupportedInputError):
-    """Total forcing is undefined for graphs with isolated vertices."""
+    """Input is valid but outside the operation's contract: above a size cap,
+    a degree above 3, a forcing number out of range, isolated vertices for
+    total forcing, or an unknown check name."""
 
 
 class ContractError(ZfError):
-    """A documented precondition was violated by the caller."""
+    """A documented precondition was violated by the caller, such as chain
+    extraction from an incomplete forcing run."""
 
 
 class InternalLogicError(ZfError):
-    """A condition the underlying theory rules out was observed; signals a bug."""
-
-
-class DrawingConstructionError(ZfError):
-    """The rows a construction chose have no drawing: no x coordinates verify."""
+    """A condition the underlying theory rules out was observed, such as rows
+    chosen by a construction that have no drawing; signals a bug."""
 
 
 class NumericalFailureError(ZfError):

@@ -12,7 +12,7 @@ import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .errors import InvalidVertexError, IsolatedVertexError
+from .errors import InvalidVertexError, UnsupportedInputError
 from .graphs import Graph
 
 
@@ -102,9 +102,7 @@ def total_forcing_number(g: Graph):
     set, so the search starts at size F(G)."""
     isolated = [v for v in range(g.n) if g.degree(v) == 0]
     if isolated:
-        raise IsolatedVertexError(
-            f"total forcing is undefined with isolated vertices {isolated}"
-        )
+        raise UnsupportedInputError(f"total forcing is undefined with isolated vertices {isolated}")
 
     def no_isolated(subset):
         inside = 0

@@ -9,12 +9,7 @@ from __future__ import annotations
 import itertools
 from functools import lru_cache
 
-from .errors import (
-    GraphFormatError,
-    InvalidSequenceError,
-    InvalidVertexError,
-    UnsupportedSizeError,
-)
+from .errors import GraphFormatError, InvalidVertexError, UnsupportedInputError
 
 
 class Graph:
@@ -181,7 +176,7 @@ def parse_graph6(text):
         if not 63 <= byte <= 126:
             raise GraphFormatError(f"character {byte!r} outside printable range 63..126", offset=off)
     if raw[0] == 126:
-        raise UnsupportedSizeError("multi-byte graph6 size form (n > 62) is not supported")
+        raise UnsupportedInputError("multi-byte graph6 size form (n > 62) is not supported")
     n = raw[0] - 63
     pairs = _pair_order(n)
     nbody = -(-len(pairs) // 6)  # ceil division
@@ -206,7 +201,7 @@ def parse_graph6(text):
 def encode_graph6(g):
     """Encode a graph with n <= 62 as a single graph6 record."""
     if g.n > 62:
-        raise UnsupportedSizeError(f"graph6 single-byte size form needs n <= 62, got {g.n}")
+        raise UnsupportedInputError(f"graph6 single-byte size form needs n <= 62, got {g.n}")
     pairs = _pair_order(g.n)
     bits = [1 if g.adjacent(i, j) else 0 for i, j in pairs]
     while len(bits) % 6:
@@ -224,7 +219,7 @@ def read_graph6_file(path):
     """Graphs from a file with one graph6 record per line; '#' lines are comments.
 
     A non-ASCII byte or a malformed record raises GraphFormatError, and an
-    oversized record UnsupportedSizeError, with its line number.
+    oversized record UnsupportedInputError, with its line number.
     """
     with open(path, "rb") as fh:
         lines = fh.read().splitlines()
@@ -238,7 +233,7 @@ def read_graph6_file(path):
             continue
         try:
             graphs.append(parse_graph6(line))
-        except (GraphFormatError, UnsupportedSizeError) as exc:
+        except (GraphFormatError, UnsupportedInputError) as exc:
             exc.args = (f"line {lineno}: {exc}",)
             raise
     return graphs
@@ -254,7 +249,7 @@ def is_induced_path(g, seq):
     """
     seq = tuple(seq)
     if len(set(seq)) != len(seq):
-        raise InvalidSequenceError(f"repeated vertex in sequence {seq}")
+        raise InvalidVertexError(f"repeated vertex in sequence {seq}")
     for u in seq:
         g._check(u)
     for i, u in enumerate(seq):
@@ -285,7 +280,7 @@ def canonical_form(g):
     has sorted by its form is keyed again for free.
     """
     if g.n > ISO_CAP:
-        raise UnsupportedSizeError(f"canonical_form capped at n = {ISO_CAP}, got {g.n}")
+        raise UnsupportedInputError(f"canonical_form capped at n = {ISO_CAP}, got {g.n}")
     adj = g._adj
     # u and v are twins when their neighborhoods agree apart from each
     # other (same open or same closed neighborhood)
@@ -381,7 +376,7 @@ def enumerate_connected_subcubic(n):
     so the order is deterministic and n is capped at ISO_CAP.
     """
     if not 1 <= n <= ISO_CAP:
-        raise UnsupportedSizeError(f"built-in generator handles 1 <= n <= {ISO_CAP}, got {n}")
+        raise UnsupportedInputError(f"built-in generator handles 1 <= n <= {ISO_CAP}, got {n}")
     if n == 1:
         return [Graph(1)]
     buckets = {}

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ContractError, NumericalFailureError, UnsupportedSizeError
+from .errors import ContractError, NumericalFailureError, UnsupportedInputError
 from .forcing import forcing_number
 from .graphs import Graph
 
@@ -173,7 +173,7 @@ def certify(g: Graph, diag, weights, target):
     if not 1 <= target <= g.n:
         raise ContractError(f"target must lie in 1..{g.n}, got {target}")
     if g.n > _OPT_CAP:
-        raise UnsupportedSizeError(f"nullity certificates capped at n = {_OPT_CAP}")
+        raise UnsupportedInputError(f"nullity certificates capped at n = {_OPT_CAP}")
     if len(diag) != g.n or len(weights) != len(g.edges):
         raise ContractError("need one diagonal entry per vertex and one weight per edge")
     diag, weights = np.array(diag, dtype=float), np.array(weights, dtype=float)
@@ -254,7 +254,7 @@ def maximize_nullity(g: Graph, target, budget=(50, 2000), seed=0):
     `certify` for what it checks); failure proves nothing.
     """
     if g.n > _OPT_CAP:
-        raise UnsupportedSizeError(f"nullity optimization capped at n = {_OPT_CAP}")
+        raise UnsupportedInputError(f"nullity optimization capped at n = {_OPT_CAP}")
     if not 1 <= target <= g.n:
         raise ContractError(f"target must lie in 1..{g.n}")
     restarts, iters = budget

@@ -18,7 +18,6 @@ from zfpaths.errors import (
     ContractError,
     InternalLogicError,
     InvalidVertexError,
-    NotForcingSetError,
     UnsupportedInputError,
 )
 from zfpaths.forcing import closure, forcing_number, is_forcing_set
@@ -70,7 +69,7 @@ def test_extract_cycle_chains():
 
 
 def test_extract_requires_complete_outcome():
-    with pytest.raises(NotForcingSetError):
+    with pytest.raises(ContractError, match="needs a complete forcing run"):
         extract_chains(closure(cycle_graph(6), [0, 3]))
 
 
@@ -189,6 +188,20 @@ def test_eliminate_bad_two_stage_rewrite():
 def test_eliminate_bad_requires_three_chains():
     with pytest.raises(UnsupportedInputError):
         eliminate_bad(chains_for(BAD_EXAMPLE, [0, 4]))
+
+
+@pytest.mark.parametrize(
+    "repair, name", [(eliminate_bad, "bad-vertex"), (eliminate_unfavorite, "unfavorite")]
+)
+def test_repairs_reject_a_host_of_degree_four(repair, name):
+    k5 = complete_graph(5)
+    with pytest.raises(UnsupportedInputError, match=f"{name} repair needs maximum degree <= 3"):
+        repair(chains_for(k5, forcing_number(k5)[1]))
+
+
+def test_eliminate_unfavorite_requires_three_chains():
+    with pytest.raises(UnsupportedInputError, match="unfavorite repair is proved only for three"):
+        eliminate_unfavorite(chains_for(cycle_graph(6), [0, 1]))
 
 
 def test_eliminate_unfavorite_requires_no_bad():

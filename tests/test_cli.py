@@ -33,6 +33,12 @@ def test_resolve_rejects_garbage(tmp_path):
         resolve_graph(str(corpus))
 
 
+def test_resolve_a_file_of_one_graph(tmp_path):
+    corpus = tmp_path / "one.g6"
+    corpus.write_text("# K4\nC~\n")
+    assert resolve_graph(str(corpus)) == complete_graph(4)
+
+
 def test_fnum_k4(capsys):
     code, out, err = run_cli(capsys, "fnum", "K4")
     assert code == 0
@@ -219,6 +225,21 @@ def test_out_of_range_arguments_are_usage_errors(capsys, argv):
     code, out, err = run_cli(capsys, *argv)
     assert code == 2 and out == ""
     assert err.startswith("usage error:") and "at least" in err
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("verify", "--nmax", "3", "--checks", "Bogus"), "unknown checks: ['Bogus']"),
+        (("verify", "--nmax", "3", "--checks", ""), "unknown checks: ['']"),
+        (("enumerate", "--n", "0"), "--n must be at least 1, got 0"),
+        (("nullity", "C4", "--target", "0"), "--target must be at least 1, got 0"),
+    ],
+)
+def test_unknown_check_and_value_below_its_bound_are_usage_errors(capsys, argv, message):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err == f"usage error: {message}\n"
 
 
 @pytest.mark.parametrize(

@@ -20,15 +20,11 @@ from zfpaths.drawing import (
     search_drawing,
     verify_drawing,
 )
-from zfpaths.errors import (
-    ContractError,
-    DrawingConstructionError,
-    UnsupportedInputError,
-    UnsupportedSizeError,
-)
+from zfpaths.errors import ContractError, InternalLogicError, UnsupportedInputError
 from zfpaths.forcing import forcing_number, is_forcing_set
 from zfpaths.graphs import (
     Graph,
+    complete_bipartite,
     complete_graph,
     cycle_graph,
     disjoint_union,
@@ -243,7 +239,7 @@ def test_solve_proves_infeasible_systems():
 
 def test_draw_raises_when_the_rows_have_no_drawing():
     # all four segments between the rows of K4 cannot avoid a crossing
-    with pytest.raises(DrawingConstructionError):
+    with pytest.raises(InternalLogicError, match=r"no drawing with rows \(\(0, 1\), \(2, 3\)\)"):
         _draw(complete_graph(4), ((0, 1), (2, 3)))
 
 
@@ -322,6 +318,13 @@ def test_build_standard_drawing_rejects_wrong_f():
         build_standard_drawing(path_graph(5))
     with pytest.raises(UnsupportedInputError):
         build_standard_drawing(complete_graph(5))
+
+
+def test_build_parallel_drawing_rejects_inputs_outside_its_contract():
+    with pytest.raises(UnsupportedInputError, match="parallel drawings need maximum degree <= 3"):
+        build_parallel_drawing(complete_graph(5))
+    with pytest.raises(UnsupportedInputError, match="forcing number 4 exceeds 3"):
+        build_parallel_drawing(complete_bipartite(3, 3))
 
 
 def test_build_standard_drawing_edgeless():
@@ -448,8 +451,12 @@ def test_every_three_row_drawing_has_forcing_leftmost_set():
     assert drawn > 0
 
 
+def test_search_with_no_rows_finds_nothing():
+    assert search_drawing(path_graph(3), 0) is None
+
+
 def test_search_size_cap():
-    with pytest.raises(UnsupportedSizeError):
+    with pytest.raises(UnsupportedInputError, match="search capped at n = 8"):
         search_drawing(Graph(9), 3)
 
 
@@ -505,3 +512,9 @@ def test_render_refuses_invalid_drawing():
     )
     with pytest.raises(ContractError):
         render(bad, "svg")
+
+
+def test_render_rejects_an_unknown_format():
+    d = build_parallel_drawing(path_graph(3))
+    with pytest.raises(ContractError, match="unknown render format 'png'"):
+        render(d, "png")

@@ -3,7 +3,7 @@ import itertools
 import pytest
 
 from conftest import random_graph, sequential_closure
-from zfpaths.errors import InvalidVertexError, IsolatedVertexError
+from zfpaths.errors import InvalidVertexError, UnsupportedInputError
 from zfpaths.forcing import closure, forcing_number, is_forcing_set, total_forcing_number
 from zfpaths.graphs import (
     Graph,
@@ -97,7 +97,7 @@ def test_total_forcing_matches_brute_force():
 
 
 def test_total_forcing_rejects_isolated_vertices():
-    with pytest.raises(IsolatedVertexError):
+    with pytest.raises(UnsupportedInputError, match=r"isolated vertices \[2\]"):
         total_forcing_number(Graph(3, [(0, 1)]))
 
 

@@ -5,12 +5,7 @@ from collections import defaultdict
 import pytest
 
 from conftest import brute_canonical_form, random_graph
-from zfpaths.errors import (
-    GraphFormatError,
-    InvalidSequenceError,
-    InvalidVertexError,
-    UnsupportedSizeError,
-)
+from zfpaths.errors import GraphFormatError, InvalidVertexError, UnsupportedInputError
 from zfpaths.graphs import (
     Graph,
     _isomorphic,
@@ -90,7 +85,7 @@ def test_parse_errors_name_offsets():
     with pytest.raises(GraphFormatError) as exc:
         parse_graph6("C" + chr(30))  # character below 63
     assert exc.value.offset == 1
-    with pytest.raises(UnsupportedSizeError):
+    with pytest.raises(UnsupportedInputError, match="needs n <= 62, got 63"):
         encode_graph6(Graph(63))
     # "Aa" is n = 2 with its one edge bit set and a padding bit set after it
     cases = (("", "empty", 0), ("C\u00e9", "non-ASCII", 1), ("Aa", "padding", 1))
@@ -120,7 +115,7 @@ def test_induced_path_examples():
 
 
 def test_induced_path_rejects_repeats():
-    with pytest.raises(InvalidSequenceError):
+    with pytest.raises(InvalidVertexError, match=r"repeated vertex in sequence \(0, 1, 0\)"):
         is_induced_path(cycle_graph(4), (0, 1, 0))
 
 
@@ -203,7 +198,7 @@ def test_canonical_form_pins_ten_vertex_keys(rng):
 
 
 def test_canonical_form_size_cap():
-    with pytest.raises(UnsupportedSizeError):
+    with pytest.raises(UnsupportedInputError, match="capped at n = 10, got 11"):
         canonical_form(Graph(11))
 
 
@@ -216,9 +211,9 @@ def test_enumeration_small_counts():
 
 
 def test_enumeration_bounds():
-    with pytest.raises(UnsupportedSizeError):
+    with pytest.raises(UnsupportedInputError, match="1 <= n <= 10, got 0"):
         enumerate_connected_subcubic(0)
-    with pytest.raises(UnsupportedSizeError):
+    with pytest.raises(UnsupportedInputError, match="1 <= n <= 10, got 11"):
         enumerate_connected_subcubic(11)
 
 

@@ -5,18 +5,19 @@ import pytest
 
 from zfpaths import drawing, harness
 from zfpaths.cli import main
-from zfpaths.errors import NumericalFailureError, UnsupportedInputError
+from zfpaths.errors import InternalLogicError, NumericalFailureError, UnsupportedInputError
 from zfpaths.graphs import (
     canonical_form,
     complete_graph,
     disjoint_union,
     encode_graph6,
+    Graph,
     fig8_graph,
     parse_graph6,
     path_graph,
 )
 from zfpaths.harness import ALL_CHECKS, diff_records, run_suite
-from zfpaths.nullity import classify
+from zfpaths.nullity import NotAchieved, NullityCertificate, classify
 
 
 def strip_timings(records):
@@ -88,6 +89,110 @@ def test_suite_overruns_on_figure8_only(tmp_path, monkeypatch):
     assert report.ok and not report.warnings
     fig8 = next(rec for rec in report.records.values() if rec["n"] == 10)
     assert fig8["tag"] == "Figure8_F3M2" and fig8["f"] == 3 and fig8["m_certified"] == 2
+
+
+def _forged_failure(g):
+    raise InternalLogicError("forged failure")
+
+
+def _forged_certificate(g, target, **kwargs):
+    return NullityCertificate(g, (), (), target, (), 1.0)
+
+
+# one forged fault per check: (check, graph, the harness name patched, its
+# stand-in, the violations and the warnings the check must report)
+FORGED_FAULTS = [
+    (
+        "T_iff",
+        complete_graph(4),
+        "build_parallel_drawing",
+        _forged_failure,
+        [
+            "drawing construction failed: forged failure",
+            "T_iff: no verified 3-row drawing despite f=3",
+        ],
+        [],
+    ),
+    (
+        "P_left",
+        complete_graph(4),
+        "leftmost_set",
+        lambda d: frozenset(),
+        [
+            "P_left: leftmost set [] does not force",
+            "P_left: leftmost set smaller than the forcing number",
+        ],
+        [],
+    ),
+    (
+        "C_ft",
+        disjoint_union([path_graph(2)] * 2),
+        "total_forcing_number",
+        lambda g: (5, (0, 1, 2, 3)),
+        [
+            "C_ft: total forcing 5 exceeds twice the 2-row drawing",
+            "C_ft: union of 2 edges should have total forcing 4",
+        ],
+        [],
+    ),
+    (
+        "L_order",
+        path_graph(3),
+        "check_order_lemmas",
+        lambda cs: ["a", "b", "c", "d"],
+        ["L_order: ['a', 'b', 'c']"],
+        [],
+    ),
+    (
+        "E_bounds",
+        Graph(1),
+        "forcing_number",
+        lambda g: (2, (0,)),
+        ["E_bounds: f=2 above n/2+1", "E_bounds: edgeless graph must have f = n"],
+        [],
+    ),
+    (
+        "E_bounds",
+        path_graph(4),
+        "total_forcing_number",
+        lambda g: (3, (0, 1, 2)),
+        ["E_bounds: f_t=3 outside [f, 2f]"],
+        [],
+    ),
+    (
+        "T_fmk",
+        complete_graph(4),
+        "maximize_nullity",
+        lambda g, target, **kwargs: NotAchieved(target, 1, 1, 0, 1),
+        ["T_fmk: optimizer reached only 1, classification says 3"],
+        [],
+    ),
+    (
+        "T_fmk",
+        fig8_graph((1, 1, 1, 1, 1)),
+        "maximize_nullity",
+        _forged_certificate,
+        [],
+        ["T_fmk over-run: certified 3 above classified 2"],
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "check, g, name, forged, violations, warnings",
+    FORGED_FAULTS,
+    ids=[f"{case[0]}-{case[2]}" for case in FORGED_FAULTS],
+)
+def test_each_detector_fires_on_a_forged_fault(
+    tmp_path, monkeypatch, check, g, name, forged, violations, warnings
+):
+    monkeypatch.setattr(harness, name, forged)
+    corpus = tmp_path / "one.g6"
+    corpus.write_text(encode_graph6(g) + "\n")
+    report = run_suite(str(corpus), checks=(check,))
+    key = canonical_form(g)
+    assert report.violations == [(key, v) for v in violations]
+    assert report.warnings == [(key, w) for w in warnings]
 
 
 def test_suite_verifies_each_drawing_once(monkeypatch):
@@ -192,7 +297,7 @@ def test_diff_reports_field_difference():
 
 
 def test_unknown_check_rejected():
-    with pytest.raises(UnsupportedInputError):
+    with pytest.raises(UnsupportedInputError, match=r"unknown checks: \['bogus'\]"):
         run_suite(2, checks=("T_iff", "bogus"))
 
 
@@ -217,6 +322,23 @@ def test_resume_drops_torn_last_line(tmp_path):
     lines = out.read_text().splitlines()
     assert len(lines) == resumed.cursor
     assert all(json.loads(line)["graph"] for line in lines)
+
+
+def test_resume_without_a_records_file_is_a_fresh_run(tmp_path):
+    out = tmp_path / "r.jsonl"
+    resumed = run_suite(4, out_path=str(out), resume=True)
+    fresh = run_suite(4)
+    assert diff_records(fresh.records, resumed.records) == []
+    assert diff_records(fresh.records, harness.read_records(str(out))[0]) == []
+
+
+def test_read_records_skips_blank_lines(tmp_path):
+    out = tmp_path / "r.jsonl"
+    lines = [json.dumps({"graph": "A_", "f": 1}), "", json.dumps({"graph": "Bw", "f": 2})]
+    out.write_text("\n".join(lines) + "\n")
+    records, whole = harness.read_records(str(out))
+    assert records == {"A_": {"graph": "A_", "f": 1}, "Bw": {"graph": "Bw", "f": 2}}
+    assert whole == out.stat().st_size
 
 
 def test_resume_remakes_records_made_by_other_checks(tmp_path, monkeypatch):

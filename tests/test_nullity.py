@@ -8,7 +8,7 @@ import pytest
 
 import zfpaths.nullity as nullity
 from conftest import eigenvalue_gradient_errors
-from zfpaths.errors import ContractError, NumericalFailureError, UnsupportedSizeError
+from zfpaths.errors import ContractError, NumericalFailureError, UnsupportedInputError
 from zfpaths.forcing import forcing_number
 from zfpaths.graphs import (
     Graph,
@@ -126,7 +126,7 @@ def test_nullity_counts():
 
 
 def test_spectrum_size_cap():
-    with pytest.raises(UnsupportedSizeError):
+    with pytest.raises(UnsupportedInputError, match="certificates capped at n = 32"):
         certify(*unit_pattern(Graph(33)), 1)
 
 
@@ -301,6 +301,33 @@ def test_not_achieved_carries_best_k():
     result = maximize_nullity(path_graph(4), 2, budget=(3, 200), seed=1)
     assert isinstance(result, NotAchieved)
     assert result.best_k <= 1
+    # two Newton steps toward nullity 3 on K4 end at a certified 2
+    result = maximize_nullity(complete_graph(4), 3, budget=(1, 2), seed=0)
+    assert result == NotAchieved(target=3, best_k=2, restarts=1, left_pattern=0, stalled=1)
+
+
+def test_maximize_nullity_rejects_inputs_outside_its_contract():
+    with pytest.raises(UnsupportedInputError, match="optimization capped at n = 32"):
+        maximize_nullity(path_graph(33), 1)
+    for target in (0, 5):
+        with pytest.raises(ContractError, match=r"target must lie in 1\.\.4"):
+            maximize_nullity(complete_graph(4), target)
+
+
+@pytest.mark.parametrize("bump, k", [(2e-7, None), (1e-6, 2)])
+def test_certify_refuses_an_eigenvalue_inside_the_gap(bump, k):
+    # the all-ones K4 matrix with one diagonal entry raised by bump has a
+    # double zero and an eigenvalue near 3/4 bump; with ||A||_F = 4 the zero
+    # threshold is 4e-8 and the gap must reach ten times that, 4e-7
+    cert = certify(complete_graph(4), (1.0, 1.0, 1.0, 1.0 + bump), (1.0,) * 6, 3)
+    assert (None if cert is None else cert.k) == k
+
+
+def test_certify_refuses_k_above_the_forcing_number(monkeypatch):
+    g = complete_graph(4)
+    assert certify(*unit_pattern(g, diag=1.0), 3).k == 3
+    monkeypatch.setattr(nullity, "forcing_number", lambda h: (2, (0, 1)))
+    assert certify(*unit_pattern(g, diag=1.0), 3) is None
 
 
 def test_certificate_respects_forcing_bound(rng):
