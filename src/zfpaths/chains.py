@@ -9,8 +9,9 @@ and runs the chain-order scans.  Forcing chains are defined by a
 chronological list of forces, one at a time, not by the time steps of a
 synchronous run.  A chain set is valid when its chains hold n vertices in
 all and such a list colors every vertex, each force by the rule `closure`
-applies; `sequentially_realizable` is that rule, for extracted and
-repaired chain sets alike.
+applies; `sequentially_realizable` is that rule, and `_rebuild`, the one
+constructor of a checked chain set, applies it to extracted and repaired
+chain sets alike.
 
 Two kinds of defect can block a parallel-path drawing: a vertex with two
 non-consecutive neighbors in another non-trivial chain ("bad"), and a
@@ -117,24 +118,16 @@ def extract_chains(run: ForcingRun) -> ChainSet:
     """Chains of a complete forcing run, resolving forcer ties by lowest id."""
     if not run.complete:
         raise ContractError("chain extraction needs a complete forcing run")
-    chosen = {}
-    for u, v, _ in run.events:
-        if v not in chosen or u < chosen[v]:
-            chosen[v] = u
-    succ = {}
-    for v, u in chosen.items():
-        if u in succ:
-            raise InternalLogicError(f"vertex {u} would force both {succ[u]} and {v}")
-        succ[u] = v
+    # a step lists a vertex's forcers in ascending order, so the lowest comes last
+    forcer = {v: u for pairs in run.steps for u, v in reversed(pairs)}
+    succ = {u: v for v, u in forcer.items()}
     chains = []
     for f in sorted(run.initial):
         seq = [f]
         while seq[-1] in succ:
             seq.append(succ[seq[-1]])
         chains.append(tuple(seq))
-    cs = ChainSet(host=run.host, chains=tuple(chains))
-    _validate(cs)
-    return cs
+    return _rebuild(run.host, chains)
 
 
 def chains_for(g: Graph, colored) -> ChainSet:
@@ -142,12 +135,15 @@ def chains_for(g: Graph, colored) -> ChainSet:
     return extract_chains(closure(g, colored))
 
 
-def _validate(cs: ChainSet):
-    """The chains hold n vertices in all and `sequentially_realizable` colors
-    every one.  A repeated or missing vertex breaks the count; a chord, or a
-    link that is no edge, stalls the walk."""
-    if sum(map(len, cs.chains)) != cs.host.n or not sequentially_realizable(cs):
+def _rebuild(host: Graph, chains) -> ChainSet:
+    """The one constructor of a checked chain set: the chains, sorted by head,
+    hold n vertices in all and `sequentially_realizable` colors every one.  A
+    repeated or missing vertex breaks the count, and so does a forcer given
+    two successors; a chord, or a link that is no edge, stalls the walk."""
+    cs = ChainSet(host=host, chains=tuple(sorted(chains, key=lambda c: c[:1])))
+    if sum(map(len, cs.chains)) != host.n or not sequentially_realizable(cs):
         raise InternalLogicError(f"chains {cs.chains} admit no chronological sequence of forces")
+    return cs
 
 
 def sequentially_realizable(cs: ChainSet):
@@ -158,8 +154,11 @@ def sequentially_realizable(cs: ChainSet):
     every vertex ends colored.  Greedy firing is sound and complete here: a
     link's precondition, once met, holds until its target is colored, so
     firing order never changes the verdict.  Every link fired is a legal
-    force, so True also proves that the heads form a forcing set.
+    force, so True also proves that the heads form a forcing set.  A chain
+    with no vertex has no head, and no chain set holding one is realized.
     """
+    if not all(cs.chains):
+        return False
     host = cs.host
     for v in cs.pos:
         host._check(v)
@@ -222,12 +221,6 @@ def unfavorite_vertices(cs: ChainSet):
 
 
 # -- repair rewrites --------------------------------------------------------
-
-
-def _rebuild(host: Graph, chains) -> ChainSet:
-    cs = ChainSet(host=host, chains=tuple(sorted(chains, key=lambda c: c[0])))
-    _validate(cs)
-    return cs
 
 
 def _head_rewrite(cs: ChainSet, x, j, a):

@@ -38,7 +38,7 @@ from .graphs import (
     enumerate_connected_subcubic,
     encode_graph6,
 )
-from .nullity import NullityCertificate, classify, maximize_nullity
+from .nullity import DEFAULT_BUDGET, NullityCertificate, classify, maximize_nullity
 
 _BUILTIN_RE = re.compile(r"^(K|P|C)(\d+)$")
 _BIPARTITE_RE = re.compile(r"^K(\d+),(\d+)$")
@@ -46,21 +46,26 @@ _FIG8_RE = re.compile(r"^fig8:(\d+(?:,\d+){4})$")
 
 
 def resolve_graph(text) -> Graph:
-    """Builtin name, file path, or graph6 literal, in that order."""
-    m = _FIG8_RE.match(text)
-    if m:
-        return fig8_graph([int(t) for t in m.group(1).split(",")])
-    m = _BIPARTITE_RE.match(text)
-    if m:
-        return complete_bipartite(int(m.group(1)), int(m.group(2)))
-    m = _BUILTIN_RE.match(text)
-    if m:
-        kind, n = m.group(1), int(m.group(2))
-        if kind == "K":
-            return complete_graph(n)
-        if kind == "P":
-            return path_graph(n)
-        return cycle_graph(n)
+    """Builtin name, file path, or graph6 literal, in that order.  A builtin
+    name below its family's fixed bound, such as C2, is a usage error, as is
+    a text that is none of the three."""
+    try:
+        m = _FIG8_RE.match(text)
+        if m:
+            return fig8_graph([int(t) for t in m.group(1).split(",")])
+        m = _BIPARTITE_RE.match(text)
+        if m:
+            return complete_bipartite(int(m.group(1)), int(m.group(2)))
+        m = _BUILTIN_RE.match(text)
+        if m:
+            kind, n = m.group(1), int(m.group(2))
+            if kind == "K":
+                return complete_graph(n)
+            if kind == "P":
+                return path_graph(n)
+            return cycle_graph(n)
+    except ZfError as exc:
+        raise UsageError(f"builtin {text!r}: {exc}") from exc
     if os.path.exists(text):
         graphs = read_graph6_file(text)
         if len(graphs) != 1:
@@ -125,7 +130,7 @@ def _cmd_closure(g, args):
         "derived": sorted(run.derived),
         "complete": run.complete,
     }
-    return document, f"derived {len(run.derived)}/{g.n} vertices in {len(run.layers) - 1} steps"
+    return document, f"derived {len(run.derived)}/{g.n} vertices in {len(run.steps)} steps"
 
 
 def _cmd_chains(g, args):
@@ -243,7 +248,7 @@ def build_parser():
     add("classify", _cmd_classify, help="forcing number / maximum nullity class")
     p = add("nullity", _cmd_nullity, help="certified nullity lower bound")
     p.add_argument("--target", type=_int_at_least("--target", 1), required=True)
-    p.add_argument("--budget", type=_parse_budget, default=(50, 2000))
+    p.add_argument("--budget", type=_parse_budget, default=DEFAULT_BUDGET)
     p.add_argument("--seed", type=_int_at_least("--seed", 0), default=0)
     p = add("search-draw", _cmd_search_draw, help="exact search for a drawing with at most k rows")
     p.add_argument("--k", type=_int_at_least("--k", 1), required=True)
@@ -254,7 +259,7 @@ def build_parser():
     p.add_argument("--resume", action="store_true")
     p.add_argument("--out", default=None)
     p.add_argument("--seed", type=_int_at_least("--seed", 0), default=0)
-    p.add_argument("--budget", type=_parse_budget, default=(50, 2000))
+    p.add_argument("--budget", type=_parse_budget, default=DEFAULT_BUDGET)
     p = add(
         "diff", _cmd_diff, graph=False, help="compare two verify --out record files, timings aside"
     )

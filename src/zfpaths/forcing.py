@@ -19,25 +19,29 @@ from .graphs import Graph
 @dataclass(frozen=True)
 class ForcingRun:
     """Transcript of one synchronous forcing process on `host`.  Every step
-    before the last colors something, so `layers[t]`, the vertices colored
-    at step t, is nonempty for t >= 1 and `layers[0] == initial`."""
+    colors something, so `layers[t]`, the vertices colored at step t, is
+    nonempty for t >= 1 and `layers[0] == initial`."""
 
     host: Graph
     initial: frozenset
-    step_of: dict  # vertex -> step index; absent means never colored
-    events: tuple  # (forcer, forced, step) triples, every candidate forcer
+    steps: tuple  # per step, its (forcer, forced) pairs, every candidate forcer in ascending order
     complete: bool
 
     @property
-    def derived(self):
-        return frozenset(self.step_of)
+    def events(self):  # (forcer, forced, step) triples
+        return tuple((u, v, t) for t, pairs in enumerate(self.steps, 1) for u, v in pairs)
 
     @property
     def layers(self):
-        layers = [set() for _ in range(max(self.step_of.values(), default=0) + 1)]
-        for v, step in self.step_of.items():
-            layers[step].add(v)
-        return tuple(frozenset(layer) for layer in layers)
+        return (self.initial,) + tuple(frozenset(v for _, v in pairs) for pairs in self.steps)
+
+    @property
+    def step_of(self):  # vertex -> step index; absent means never colored
+        return {v: t for t, layer in enumerate(self.layers) for v in layer}
+
+    @property
+    def derived(self):
+        return self.initial.union(*self.layers)
 
 
 def closure(g: Graph, colored) -> ForcingRun:
@@ -48,11 +52,8 @@ def closure(g: Graph, colored) -> ForcingRun:
     colored_mask = 0
     for v in initial:
         colored_mask |= 1 << v
-    step_of = {v: 0 for v in initial}
-    events = []
-    step = 0
+    steps = []
     while True:
-        step += 1
         fires = []
         mask = colored_mask
         while mask:
@@ -64,12 +65,11 @@ def closure(g: Graph, colored) -> ForcingRun:
                 fires.append((u, uncol.bit_length() - 1))
         if not fires:
             break
-        for u, v in fires:
-            events.append((u, v, step))
+        steps.append(tuple(fires))
+        for _, v in fires:
             colored_mask |= 1 << v
-            step_of[v] = step
     complete = colored_mask == (1 << g.n) - 1
-    return ForcingRun(g, initial, step_of, tuple(events), complete)
+    return ForcingRun(g, initial, tuple(steps), complete)
 
 
 def is_forcing_set(g: Graph, colored) -> bool:

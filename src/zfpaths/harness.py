@@ -35,7 +35,7 @@ from .graphs import (
     path_graph,
     read_graph6_file,
 )
-from .nullity import NullityCertificate, classify, maximize_nullity
+from .nullity import DEFAULT_BUDGET, NullityCertificate, classify, maximize_nullity
 
 ALL_CHECKS = ("T_iff", "T_fmk", "C_ft", "P_left", "L_order", "E_bounds")
 _HARNESS_N_CAP = 12
@@ -117,7 +117,7 @@ def run_suite(
     resume=False,
     out_path=None,
     seed=0,
-    nullity_budget=(50, 2000),
+    nullity_budget=DEFAULT_BUDGET,
 ) -> SuiteReport:
     """Run the selected theorem checks over a corpus.
 
@@ -133,8 +133,7 @@ def run_suite(
     unknown = set(checks) - set(ALL_CHECKS)
     if unknown:
         raise UnsupportedInputError(f"unknown checks: {sorted(unknown)}")
-    checks = sorted(set(checks))
-    made_by = {"checks": checks, "seed": seed, "budget": list(nullity_budget)}
+    made_by = {"checks": sorted(set(checks)), "seed": seed, "budget": list(nullity_budget)}
     if isinstance(source, int):
         graphs = _builtin_corpus(source)
         corpus_id = f"builtin:{source}"
@@ -149,7 +148,7 @@ def run_suite(
             key = _graph_key(g)
             rec = done.get(key)
             if rec is None or any(rec.get(k) != v for k, v in made_by.items()):
-                rec = done[key] = _check_one(g, key, checks, seed, nullity_budget)
+                rec = done[key] = _check_one(g, key, made_by)
                 if sink:
                     sink.write(json.dumps(rec) + "\n")
                     sink.flush()
@@ -168,13 +167,11 @@ def run_suite(
     return report
 
 
-def _check_one(g: Graph, key, checks, seed, nullity_budget):
+def _check_one(g: Graph, key, made_by):
     rec = {
         "graph": key,
         "n": g.n,
-        "checks": checks,
-        "seed": seed,
-        "budget": list(nullity_budget),
+        **made_by,
         "f": None,
         "f_t": None,
         "tag": None,
@@ -190,14 +187,16 @@ def _check_one(g: Graph, key, checks, seed, nullity_budget):
         return rec
     # one bad graph must not end the run: record the error and carry on
     try:
-        _run_checks(g, key, rec, checks, seed, nullity_budget)
+        _run_checks(g, key, rec)
     except ZfError as exc:
         rec["violations"].append(f"check aborted: {type(exc).__name__}: {exc}")
     return rec
 
 
-def _run_checks(g: Graph, key, rec, checks, seed, nullity_budget):
-    graph_seed = seed + zlib.crc32(key.encode("ascii")) % 65536
+def _run_checks(g: Graph, key, rec):
+    """Fill in rec by the checks, seed and nullity budget that it lists."""
+    checks, nullity_budget = rec["checks"], rec["budget"]
+    graph_seed = rec["seed"] + zlib.crc32(key.encode("ascii")) % 65536
 
     t0 = time.perf_counter()
     f, witness = forcing_number(g)

@@ -29,6 +29,7 @@ from .graphs import Graph
 TOL_ZERO = 1e-8  # relative zero threshold for nullity counting
 GAP_FACTOR = 10  # certified gap must exceed GAP_FACTOR * TOL_ZERO
 _FLOOR_CERTIFY = 0.045  # a pattern matrix has every |weight| >= _FLOOR_CERTIFY * max(1, ||A||_F)
+DEFAULT_BUDGET = (50, 2000)  # (restarts, Newton steps per restart)
 _OPT_CAP = 32  # the size cap of the search and of its certificates
 _MG_CHECK_CAP = 12  # forcing-number cross-check cap inside certificates
 
@@ -242,7 +243,7 @@ def _descent(ends, diag, weights, target, iters):
     return x[:n], x[n:], False
 
 
-def maximize_nullity(g: Graph, target, budget=(50, 2000), seed=0):
+def maximize_nullity(g: Graph, target, budget=DEFAULT_BUDGET, seed=0):
     """Lower-bound search: drive the target smallest eigenvalues to zero.
 
     Runs Newton's method on V^T A V = 0 from random starts with restart seeds

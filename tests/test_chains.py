@@ -4,7 +4,7 @@ import pytest
 
 from zfpaths.chains import (
     ChainSet,
-    _validate,
+    _rebuild,
     bad_vertices,
     chains_for,
     check_order_lemmas,
@@ -20,7 +20,7 @@ from zfpaths.errors import (
     InvalidVertexError,
     UnsupportedInputError,
 )
-from zfpaths.forcing import closure, forcing_number, is_forcing_set
+from zfpaths.forcing import ForcingRun, closure, forcing_number, is_forcing_set
 from zfpaths.graphs import (
     Graph,
     complete_bipartite,
@@ -71,6 +71,13 @@ def test_extract_cycle_chains():
 def test_extract_requires_complete_outcome():
     with pytest.raises(ContractError, match="needs a complete forcing run"):
         extract_chains(closure(cycle_graph(6), [0, 3]))
+
+
+def test_extract_refuses_a_forcer_with_two_successors():
+    # a forged run in which 1 forces both ends of P3: no chain holds 0
+    run = ForcingRun(path_graph(3), frozenset({1}), (((1, 0), (1, 2)),), True)
+    with pytest.raises(InternalLogicError, match="admit no chronological sequence"):
+        extract_chains(run)
 
 
 def test_chain_set_serialization():
@@ -266,6 +273,12 @@ def test_a_link_along_a_non_edge_does_not_fire():
         sequentially_realizable(_hand_built(g, [(-1, 0), (2,), (3,)]))
 
 
+def test_an_empty_chain_is_refused_not_crashed_on():
+    assert not sequentially_realizable(_hand_built(path_graph(2), [(0, 1), ()]))
+    with pytest.raises(InternalLogicError, match="admit no chronological sequence"):
+        _rebuild(path_graph(2), [(0, 1), ()])
+
+
 def _reference_valid(cs):
     """Partition, induced paths, and a schedule on the colored set in which
     u forces v once every other neighbor of u is colored."""
@@ -331,7 +344,7 @@ def test_validate_matches_partition_induced_paths_and_schedule(rng):
                 for seqs in _random_chain_sets(g, rng):
                     cs = ChainSet(host=g, chains=tuple(sorted(map(tuple, seqs))))
                     try:
-                        _validate(cs)
+                        _rebuild(cs.host, cs.chains)
                         valid = True
                     except InternalLogicError:
                         valid = False

@@ -270,6 +270,13 @@ def test_unknown_builtin_is_usage_error(capsys):
     assert "usage error" in err
 
 
+@pytest.mark.parametrize("name", ["C2", "fig8:0,1,1,1,1"])
+def test_builtin_name_below_its_bound_is_usage_error(capsys, name):
+    code, out, err = run_cli(capsys, "fnum", name)
+    assert code == 2 and out == ""
+    assert err.startswith("usage error:")
+
+
 def test_diff_of_two_runs(capsys, tmp_path):
     a, b = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
     for path in (a, b):

@@ -43,6 +43,39 @@ def test_closure_from_empty_set():
     assert not out.complete
 
 
+def test_closure_keeps_both_forcers_of_one_vertex():
+    # 0 and 2 each have 1 as their one uncolored neighbor in step 1
+    out = closure(path_graph(3), {0, 2})
+    assert out.steps == (((0, 1), (2, 1)),)
+    assert out.events == ((0, 1, 1), (2, 1, 1))
+    assert out.layers == (frozenset({0, 2}), frozenset({1}))
+    assert out.step_of == {0: 0, 1: 1, 2: 0}
+    assert out.complete
+
+
+def test_closure_of_nothing_on_a_cycle():
+    out = closure(cycle_graph(4), ())
+    assert out.steps == () and out.events == () and out.step_of == {}
+    assert out.layers == (frozenset(),)
+    assert not out.complete
+
+
+def test_run_views_agree_with_the_steps(rng):
+    for _ in range(300):
+        g = random_graph(rng, rng.randint(1, 9))
+        run = closure(g, rng.sample(range(g.n), rng.randint(0, g.n)))
+        layers = run.layers
+        assert layers[0] == run.initial and all(layers[1:])
+        # disjoint layers whose union is the derived set
+        assert frozenset().union(*layers) == run.derived
+        assert sum(map(len, layers)) == len(run.derived)
+        step_of = run.step_of
+        assert all(step_of[v] == t for t, layer in enumerate(layers) for v in layer)
+        for u, v, t in run.events:
+            assert v in g.neighbors(u) and step_of[u] < t and v in layers[t]
+        assert run.complete == (run.derived == frozenset(range(g.n)))
+
+
 def test_closure_rejects_bad_vertex():
     with pytest.raises(InvalidVertexError):
         closure(path_graph(3), [5])
