@@ -124,7 +124,8 @@ def extract_chains(run: ForcingRun) -> ChainSet:
     chains = []
     for f in sorted(run.initial):
         seq = [f]
-        while seq[-1] in succ:
+        # past n vertices the forces close a cycle, and `_rebuild`'s count refuses the chains
+        while seq[-1] in succ and len(seq) <= run.host.n:
             seq.append(succ[seq[-1]])
         chains.append(tuple(seq))
     return _rebuild(run.host, chains)

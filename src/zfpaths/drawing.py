@@ -39,12 +39,6 @@ class StandardDrawing:
     def k(self):
         return len(self.rows)
 
-    def row_of(self, v):
-        for i, row in enumerate(self.rows):
-            if v in row:
-                return i
-        raise KeyError(v)
-
 
 # -- exact geometry core ----------------------------------------------------
 
@@ -130,18 +124,23 @@ def leftmost_set(d: StandardDrawing):
 
 def realize(g: Graph, rows):
     """A verified drawing of g with these rows, or None when the rows break
-    `_row_violations`'s rule or no x coordinates pass `verify_drawing`.
+    `_row_violations`'s rule or no gap choice is consistent.
 
     Each row is an induced path, read left to right.  A segment that spans
     several rows meets each row between its ends inside one gap of that row:
-    before the first vertex, between two vertices, or after the last.  The
-    gaps are chosen depth first.  Two straight segments keep one left-right
-    order on every row they share, apart from a common end, so a choice is
-    pruned as soon as the orders it fixes disagree; at the first and the last
-    shared row one segment is at its own end vertex, so the order there is
-    always known.  A choice that survives leaves strict homogeneous linear
-    inequalities in x, the row orders and each crossing point strictly inside
-    its gap, which `_solve` decides exactly.
+    before the first vertex, between two vertices, or after the last.  Two
+    straight segments keep one left-right order between their first and last
+    shared rows, where one is at its own end vertex, so the row positions fix
+    it.  `_fill_gaps` picks the gaps depth first, pruning a choice once its
+    orders disagree.  One consistent choice decides: any x with the row orders
+    and each crossing point strictly inside its gap draws no crossing, and such
+    x exists.  Three segments in one gap never order cyclically, as the row
+    positions rule it out at their first or last common row, where not all
+    three end at one vertex.  So the choice is a planar hierarchical drawing, a
+    level per row, with the row edges along the levels, where no rule involves
+    them.  Eades, Feng, Lin & Nagamochi (Algorithmica 44, 2006) straighten it,
+    keeping each level's order of vertices and edges, for any number of rows;
+    so a refusal of the exact `_solve` is an InternalLogicError.
     """
     rows = tuple(tuple(row) for row in rows)
     if not rows or _row_violations(g, rows):
@@ -161,19 +160,17 @@ def realize(g: Graph, rows):
         for w in (u, v):
             track[place[w][0]] = place[w][1]
         tracks.append(track)
-    if any(_disagree(s, t) for s, t in itertools.combinations(tracks, 2)):
-        return None
     slots = [
         (s, r)
         for s, (u, v) in enumerate(segments)
         for r in range(place[u][0] + 1, place[v][0])
     ]
-    for _ in _gap_choices(rows, tracks, slots, 0):
-        x = _solve(g.n, _inequalities(rows, segments, tracks, place))
-        if x is not None:
-            break
-    else:
+    pairs = itertools.combinations(tracks, 2)  # before the walk, each track holds its ends
+    if any(_disagree(s, t) for s, t in pairs) or not _fill_gaps(rows, tracks, slots, 0):
         return None
+    x = _solve(g.n, _inequalities(rows, segments, tracks, place))
+    if x is None:
+        raise InternalLogicError(f"a consistent gap choice for rows {rows} has no coordinates")
     drawing = _integer_grid(StandardDrawing(rows=rows, x=dict(enumerate(x)), host=g))
     violations = verify_drawing(drawing)
     if violations:
@@ -181,19 +178,20 @@ def realize(g: Graph, rows):
     return drawing
 
 
-def _gap_choices(rows, tracks, slots, depth):
-    """Fill in the gap of each slot (segment, row) from `depth` on, depth
-    first, and yield whenever all are filled without a disagreement."""
+def _fill_gaps(rows, tracks, slots, depth):
+    """Fill in the gap of each slot (segment, row) from `depth` on, depth first:
+    True at the first consistent choice, else False with those slots cleared."""
     if depth == len(slots):
-        yield
-        return
+        return True
     s, r = slots[depth]
     for gap in range(len(rows[r]) + 1):
         tracks[s][r] = 2 * gap
         # only a track with a place at row r can gain a new disagreement
         if not any(_disagree(tracks[s], t) for t in tracks if t[r] is not None):
-            yield from _gap_choices(rows, tracks, slots, depth + 1)
+            if _fill_gaps(rows, tracks, slots, depth + 1):
+                return True
     tracks[s][r] = None
+    return False
 
 
 def _disagree(s, t):
@@ -438,7 +436,8 @@ def render(d: StandardDrawing, fmt="json"):
     if fmt not in ("svg", "dot"):
         raise ContractError(f"unknown render format {fmt!r}")
     grid = _integer_grid(d)
-    return _render_svg(grid) if fmt == "svg" else _render_dot(grid)
+    row = {v: i for i, r in enumerate(d.rows) for v in r}
+    return _render_svg(grid, row) if fmt == "svg" else _render_dot(grid, row)
 
 
 def drawing_to_json_obj(d: StandardDrawing):
@@ -454,12 +453,12 @@ _PX_STEP = 40
 _PX_MARGIN = 50
 
 
-def _render_svg(d):
+def _render_svg(d, row):
     width = 2 * _PX_MARGIN + _PX_STEP * max(d.x.values())
     height = 2 * _PX_MARGIN + 100 * (len(d.rows) - 1)
 
     def px(v):
-        return _PX_MARGIN + _PX_STEP * d.x[v], _PX_MARGIN + 100 * d.row_of(v)
+        return _PX_MARGIN + _PX_STEP * d.x[v], _PX_MARGIN + 100 * row[v]
 
     lines = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
@@ -480,10 +479,10 @@ def _render_svg(d):
     return "\n".join(lines)
 
 
-def _render_dot(d):
+def _render_dot(d, row):
     lines = ["graph drawing {", "  node [shape=circle];"]
     for v in sorted(d.x):
-        y = len(d.rows) - 1 - d.row_of(v)
+        y = len(d.rows) - 1 - row[v]
         lines.append(f'  {v} [pos="{d.x[v]},{y}!"];')
     for u, v in d.host.edges:
         lines.append(f"  {u} -- {v};")

@@ -1,4 +1,5 @@
 import itertools
+import signal
 
 import pytest
 
@@ -78,6 +79,25 @@ def test_extract_refuses_a_forcer_with_two_successors():
     run = ForcingRun(path_graph(3), frozenset({1}), (((1, 0), (1, 2)),), True)
     with pytest.raises(InternalLogicError, match="admit no chronological sequence"):
         extract_chains(run)
+
+
+def test_extract_stops_a_walk_around_a_cycle_of_forces():
+    # a forged run in which 0 and 1 force each other: the walk stops after
+    # n + 1 vertices and the vertex count refuses the chain; the alarm turns
+    # an endless walk into a failure instead of a hang
+    run = ForcingRun(path_graph(2), frozenset({0}), (((0, 1), (1, 0)),), True)
+
+    def endless(signum, frame):
+        raise TimeoutError("extract_chains did not return within 1 s")
+
+    previous = signal.signal(signal.SIGALRM, endless)
+    signal.alarm(1)
+    try:
+        with pytest.raises(InternalLogicError, match=r"chains \(\(0, 1, 0\),\) admit no"):
+            extract_chains(run)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def test_chain_set_serialization():

@@ -1,4 +1,6 @@
 import json
+import runpy
+import sys
 
 import pytest
 
@@ -401,3 +403,15 @@ def test_closure_set_must_be_integers(capsys):
     code, out, err = run_cli(capsys, "closure", "P3", "--set", "a")
     assert code == 2 and out == ""
     assert err == "usage error: vertex set must be comma-separated integers, got 'a'\n"
+
+
+def test_running_the_module_calls_main_and_exits_with_its_status(capsys, monkeypatch):
+    # in-process, so the trace step sees the guard run; dropping the imported
+    # module keeps runpy from warning that it would run a second copy
+    monkeypatch.delitem(sys.modules, "zfpaths.cli")
+    monkeypatch.setattr(sys, "argv", ["zfpaths", "fnum", "K4"])
+    with pytest.raises(SystemExit) as exit_info:
+        runpy.run_module("zfpaths.cli", run_name="__main__")
+    assert exit_info.value.code == 0
+    out = capsys.readouterr().out
+    assert out.count("\n") == 1 and json.loads(out) == {"f": 3, "witness": [0, 1, 2]}

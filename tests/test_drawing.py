@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 from conftest import brute_drawing_ok
 
+from zfpaths import drawing
 from zfpaths.drawing import (
     StandardDrawing,
     _draw,
@@ -227,6 +228,14 @@ def test_realize_returns_none_without_a_drawing():
     # rows that are not induced paths, or do not partition the vertices
     assert realize(g, ((0, 1, 2, 3),)) is None
     assert realize(g, ((0, 1), (2,))) is None
+
+
+def test_realize_raises_when_solve_refuses_a_consistent_gap_choice(monkeypatch):
+    # a consistent gap choice always has coordinates, so a refusal is a fault
+    monkeypatch.setattr(drawing, "_solve", lambda n, inequalities: None)
+    g = Graph(4, [(0, 1), (2, 3), (0, 3), (1, 2)])
+    with pytest.raises(InternalLogicError, match="consistent gap choice .* has no coordinates"):
+        realize(g, ((0, 1), (3, 2)))
 
 
 def test_solve_proves_infeasible_systems():

@@ -31,6 +31,8 @@ def test_graph_normalizes_edges():
     assert g.edges == ((0, 2), (1, 2))
     assert g.adjacent(0, 2) and g.adjacent(2, 0)
     assert not g.adjacent(0, 1)
+    assert repr(g) == "Graph(n=3, edges=[(0, 2), (1, 2)])"
+    assert eval(repr(g), {"Graph": Graph}) == g
 
 
 def test_graph_rejects_loops_and_bad_ids():
