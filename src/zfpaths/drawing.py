@@ -262,7 +262,7 @@ def _solve(n, inequalities):
         lo = hi = None
         for a in stage:
             if a[i]:
-                bound = Fraction(-sum(c * xk for c, xk in zip(a, x)), a[i])
+                bound = Fraction(-sum(c * x[k] for k, c in enumerate(a) if c), a[i])
                 if a[i] > 0:
                     lo = bound if lo is None else max(lo, bound)
                 else:

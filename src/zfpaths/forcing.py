@@ -3,7 +3,8 @@
 The process is synchronous: at each step every colored vertex with exactly
 one non-colored neighbor fires, and all newly colored vertices form one
 layer.  Every candidate forcer of a newly colored vertex is recorded, since
-chain extraction later picks one per vertex.
+chain extraction later picks one per vertex.  The forcing-set search needs
+only the derived set, which does not depend on the order of the forces.
 """
 
 from __future__ import annotations
@@ -47,11 +48,11 @@ class ForcingRun:
 def closure(g: Graph, colored) -> ForcingRun:
     """Run the synchronous forcing process on g from the given initial set."""
     initial = frozenset(colored)
-    for v in initial:
-        g._check(v)
     colored_mask = 0
     for v in initial:
+        g._check(v)
         colored_mask |= 1 << v
+    adj = g._adj
     steps = []
     while True:
         fires = []
@@ -60,7 +61,7 @@ def closure(g: Graph, colored) -> ForcingRun:
             low = mask & -mask
             u = low.bit_length() - 1
             mask ^= low
-            uncol = g.neighbors_mask(u) & ~colored_mask
+            uncol = adj[u] & ~colored_mask
             if uncol and uncol & (uncol - 1) == 0:
                 fires.append((u, uncol.bit_length() - 1))
         if not fires:
@@ -72,8 +73,27 @@ def closure(g: Graph, colored) -> ForcingRun:
     return ForcingRun(g, initial, tuple(steps), complete)
 
 
+def _derived(adj, mask):
+    """The derived set of `mask` on the adjacency masks `adj`.  Only a newly
+    colored vertex and its colored neighbors can newly fire, so they are
+    the ones put back on the worklist."""
+    todo = mask
+    while todo:
+        low = todo & -todo
+        todo ^= low
+        uncol = adj[low.bit_length() - 1] & ~mask
+        if uncol and uncol & (uncol - 1) == 0:
+            mask |= uncol
+            todo |= uncol | (adj[uncol.bit_length() - 1] & mask)
+    return mask
+
+
 def is_forcing_set(g: Graph, colored) -> bool:
-    return closure(g, colored).complete
+    mask = 0
+    for v in colored:
+        g._check(v)
+        mask |= 1 << v
+    return _derived(g._adj, mask) == (1 << g.n) - 1
 
 
 def _least_forcing_set(g: Graph, smallest, admissible):
@@ -108,6 +128,6 @@ def total_forcing_number(g: Graph):
         inside = 0
         for v in subset:
             inside |= 1 << v
-        return all(g.neighbors_mask(v) & inside for v in subset)
+        return all(g._adj[v] & inside for v in subset)
 
     return _least_forcing_set(g, forcing_number(g)[0], no_isolated)

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import json
 import math
@@ -15,6 +16,7 @@ from zfpaths.drawing import (
     _solve,
     build_parallel_drawing,
     build_standard_drawing,
+    drawing_to_json_obj,
     leftmost_set,
     realize,
     render,
@@ -29,6 +31,7 @@ from zfpaths.graphs import (
     complete_graph,
     cycle_graph,
     disjoint_union,
+    encode_graph6,
     enumerate_connected_subcubic,
     fig8_graph,
     parse_graph6,
@@ -527,3 +530,22 @@ def test_render_rejects_an_unknown_format():
     d = build_parallel_drawing(path_graph(3))
     with pytest.raises(ContractError, match="unknown render format 'png'"):
         render(d, "png")
+
+
+# sha256 over one line per F <= 3 graph with n <= 8, in enumeration order: its
+# graph6 code and drawing_to_json_obj(build_parallel_drawing(g)) as compact
+# sorted-key JSON.  Computed with the dense back-substitution in _solve, so a
+# change to the solver's arithmetic that moves any coordinate fails here.
+_PARALLEL_DRAWINGS_DIGEST = "4aca97a814362219a0f26ded3e36be3d5a15e1f14bcc95fb8568510606737c23"
+
+
+def test_parallel_drawing_coordinates_are_pinned():
+    digest, count = hashlib.sha256(), 0
+    for n in range(1, 9):
+        for g in enumerate_connected_subcubic(n):
+            if forcing_number(g)[0] <= 3:
+                obj = [encode_graph6(g), drawing_to_json_obj(build_parallel_drawing(g))]
+                digest.update(json.dumps(obj, sort_keys=True, separators=(",", ":")).encode() + b"\n")
+                count += 1
+    assert count == 290
+    assert digest.hexdigest() == _PARALLEL_DRAWINGS_DIGEST

@@ -1,8 +1,10 @@
+import collections
 import itertools
 
 import pytest
 
 from conftest import random_graph, sequential_closure
+from zfpaths import forcing
 from zfpaths.errors import InvalidVertexError, UnsupportedInputError
 from zfpaths.forcing import closure, forcing_number, is_forcing_set, total_forcing_number
 from zfpaths.graphs import (
@@ -81,6 +83,41 @@ def test_closure_rejects_bad_vertex():
         closure(path_graph(3), [5])
 
 
+def test_is_forcing_set_agrees_with_both_closures(rng):
+    # isolated vertices, disconnected graphs and the empty set all occur
+    seen = collections.Counter()
+    for _ in range(600):
+        g = random_graph(rng, rng.randint(1, 9), p=rng.choice((0.15, 0.4)))
+        start = rng.sample(range(g.n), rng.randint(0, g.n))
+        expected = sequential_closure(g, start) == frozenset(range(g.n))
+        assert is_forcing_set(g, start) == expected == closure(g, start).complete
+        seen["isolated"] += any(g.degree(v) == 0 for v in range(g.n))
+        seen["disconnected"] += not g.is_connected()
+        seen["empty set"] += not start
+        seen["forcing"] += expected
+    assert all(seen[key] >= 20 for key in ("isolated", "disconnected", "empty set", "forcing")), seen
+
+
+def test_is_forcing_set_rejects_bad_vertex():
+    with pytest.raises(InvalidVertexError, match=r"vertex 5 outside 0\.\.2"):
+        is_forcing_set(path_graph(3), [0, 5])
+    with pytest.raises(InvalidVertexError, match=r"vertex -1 outside 0\.\.2"):
+        is_forcing_set(path_graph(3), [-1])
+
+
+def test_forcing_number_tests_each_subset_once(monkeypatch):
+    # the six singletons fail on C6, then (0, 1) forces
+    tested = []
+
+    def counting(g, colored):
+        tested.append(tuple(colored))
+        return is_forcing_set(g, colored)
+
+    monkeypatch.setattr(forcing, "is_forcing_set", counting)
+    assert forcing_number.__wrapped__(cycle_graph(6)) == (2, (0, 1))
+    assert tested == [(v,) for v in range(6)] + [(0, 1)]
+
+
 def test_is_forcing_set_examples():
     assert not is_forcing_set(path_graph(5), [2])
     assert is_forcing_set(complete_graph(4), [0, 1, 2])
@@ -110,6 +147,22 @@ def test_total_forcing_examples():
     assert total_forcing_number(path_graph(4)) == (2, (0, 1))
     assert total_forcing_number(cycle_graph(4))[0] == 2
     assert total_forcing_number(disjoint_union([path_graph(2)] * 3))[0] == 6
+
+
+def brute_forcing(g):
+    """The minimum size, then the lexicographically smallest subset that the
+    sequential oracle completes."""
+    for k in range(1, g.n + 1):
+        for s in itertools.combinations(range(g.n), k):
+            if sequential_closure(g, s) == frozenset(range(g.n)):
+                return k, s
+
+
+def test_forcing_number_matches_brute_force():
+    graphs = [g for n in range(1, 8) for g in enumerate_connected_subcubic(n)]
+    graphs += [disjoint_union([path_graph(2)] * j) for j in range(2, 5)]
+    for g in graphs:
+        assert forcing_number(g) == brute_forcing(g), encode_graph6(g)
 
 
 def brute_total_forcing(g):
