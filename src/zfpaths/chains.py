@@ -30,7 +30,7 @@ from functools import cached_property
 
 from .errors import ContractError, InternalLogicError, UnsupportedInputError
 from .forcing import ForcingRun, closure
-from .graphs import Graph
+from .graphs import Graph, _mask_bits
 
 
 @dataclass(frozen=True)
@@ -56,7 +56,7 @@ class ChainSet:
         cross = {ij: [] for ij in itertools.permutations(range(len(self.chains)), 2)}
         for i, c in enumerate(self.chains):
             for u in c:
-                for v in self.host.neighbors(u):
+                for v in _mask_bits(self.host._adj[u]):
                     j = self.owner.get(v, i)
                     if j != i:
                         cross[i, j].append((u, v))
@@ -95,14 +95,14 @@ class ChainSet:
     def split(self, u, j):
         """Sorted positions of u's neighbors in chain j when two of them are
         at least two apart, else an empty list."""
-        ps = sorted(self.pos[v] for v in self.host.neighbors(u) if self.owner.get(v) == j)
+        ps = sorted(self.pos[v] for v in _mask_bits(self.host._adj[u]) if self.owner.get(v) == j)
         return ps if any(q - p >= 2 for p, q in zip(ps, ps[1:])) else []
 
     def fan_inversions(self, x, j, k):
         """(a, b, c, d): neighbors a of x in chain j and b in chain k,
         with a cross edge c-d from j to k where c is after a and d before b."""
         pos = self.pos
-        nbrs = self.host.neighbors(x)
+        nbrs = tuple(_mask_bits(self.host._adj[x]))
         for a in nbrs:
             if self.owner.get(a) != j:
                 continue

@@ -73,11 +73,12 @@ def closure(g: Graph, colored) -> ForcingRun:
     return ForcingRun(g, initial, tuple(steps), complete)
 
 
-def _derived(adj, mask):
-    """The derived set of `mask` on the adjacency masks `adj`.  Only a newly
-    colored vertex and its colored neighbors can newly fire, so they are
-    the ones put back on the worklist."""
-    todo = mask
+def _derived(adj, mask, todo):
+    """The derived set of `mask` on the adjacency masks `adj`, where `todo`
+    holds every vertex of `mask` that may fire.  Only a newly colored vertex
+    and its colored neighbors can newly fire, so they are the ones put back
+    on the worklist; for the same reason, a caller that adds one vertex to a
+    derived set passes that vertex and its colored neighbors."""
     while todo:
         low = todo & -todo
         todo ^= low
@@ -93,17 +94,52 @@ def is_forcing_set(g: Graph, colored) -> bool:
     for v in colored:
         g._check(v)
         mask |= 1 << v
-    return _derived(g._adj, mask) == (1 << g.n) - 1
+    return _derived(g._adj, mask, mask) == (1 << g.n) - 1
 
 
-def _least_forcing_set(g: Graph, smallest, admissible):
-    """The first subset that passes `admissible` (tried first: it is cheaper
-    than a closure) and forces, by size from `smallest` up, then in
-    lexicographic order, so the first hit is the canonical witness."""
-    for k in range(smallest, g.n + 1):
-        for subset in itertools.combinations(range(g.n), k):
-            if admissible(subset) and is_forcing_set(g, subset):
-                return k, subset
+def _least_forcing_set(g: Graph, smallest, total):
+    """The first forcing set by size from `smallest` up, then in
+    lexicographic order, so the first hit is the canonical witness; with
+    `total`, the first whose induced subgraph has no isolated vertex.
+
+    Each subset of size k is a (k - 1)-prefix P, in `combinations` order,
+    and a last vertex v > max(P) picked from the mask `cand`.  P is closed
+    once.  If it forces, so does P + v for the lowest v in `cand` (only a
+    total search gets here).  A v inside closure(P) adds nothing to it; any
+    other v is closed from closure(P) + v, which has the same closure as
+    P + v.  A failed try leaves V - closure(P + v) uncolored, a fort that P
+    misses, so only a sibling inside it can still force (Fast & Hicks,
+    Discrete Appl. Math. 250 (2018)).  Every skipped subset is thus proven
+    not to force, or not to be total.
+    """
+    adj, n = g._adj, g.n
+    full = (1 << n) - 1
+    for k in range(smallest, n + 1):
+        for prefix in itertools.combinations(range(n), k - 1):
+            p = 0
+            for u in prefix:
+                p |= 1 << u
+            cand = full & -(2 << prefix[-1]) if prefix else full
+            if total:
+                # v needs a neighbor in P, and so does each vertex of P that has none there
+                near = 0
+                for u in prefix:
+                    near |= adj[u]
+                    if not adj[u] & p:
+                        cand &= adj[u]
+                cand &= near
+            if not cand:
+                continue
+            c = _derived(adj, p, p)
+            if c == full:
+                return k, prefix + ((cand & -cand).bit_length() - 1,)
+            cand &= ~c
+            while cand:
+                low = cand & -cand
+                reached = _derived(adj, c | low, low | adj[low.bit_length() - 1] & c)
+                if reached == full:
+                    return k, prefix + (low.bit_length() - 1,)
+                cand &= ~reached
     raise AssertionError("unreachable: the search ends by V(G), which forces")
 
 
@@ -112,7 +148,7 @@ def forcing_number(g: Graph):
     """Minimum forcing set size with the lexicographically smallest witness."""
     if g.n < 1:
         raise InvalidVertexError("forcing number needs at least one vertex")
-    return _least_forcing_set(g, 1, lambda subset: True)
+    return _least_forcing_set(g, 1, total=False)
 
 
 @lru_cache(maxsize=None)
@@ -123,11 +159,4 @@ def total_forcing_number(g: Graph):
     isolated = [v for v in range(g.n) if g.degree(v) == 0]
     if isolated:
         raise UnsupportedInputError(f"total forcing is undefined with isolated vertices {isolated}")
-
-    def no_isolated(subset):
-        inside = 0
-        for v in subset:
-            inside |= 1 << v
-        return all(g._adj[v] & inside for v in subset)
-
-    return _least_forcing_set(g, forcing_number(g)[0], no_isolated)
+    return _least_forcing_set(g, forcing_number(g)[0], total=True)

@@ -1,5 +1,8 @@
 import collections
+import hashlib
 import itertools
+import json
+import random
 
 import pytest
 
@@ -105,17 +108,44 @@ def test_is_forcing_set_rejects_bad_vertex():
         is_forcing_set(path_graph(3), [-1])
 
 
-def test_forcing_number_tests_each_subset_once(monkeypatch):
-    # the six singletons fail on C6, then (0, 1) forces
-    tested = []
+def closures_started(monkeypatch, search, g):
+    """`search` run uncached on g, and the start set of each closure that it
+    runs, as a sorted tuple."""
+    started, derived = [], forcing._derived
 
-    def counting(g, colored):
-        tested.append(tuple(colored))
-        return is_forcing_set(g, colored)
+    def recording(adj, mask, todo):
+        started.append(tuple(v for v in range(g.n) if mask >> v & 1))
+        return derived(adj, mask, todo)
 
-    monkeypatch.setattr(forcing, "is_forcing_set", counting)
-    assert forcing_number.__wrapped__(cycle_graph(6)) == (2, (0, 1))
-    assert tested == [(v,) for v in range(6)] + [(0, 1)]
+    monkeypatch.setattr(forcing, "_derived", recording)
+    return search.__wrapped__(g), started
+
+
+def test_forcing_number_closes_each_prefix_once(monkeypatch):
+    # the empty prefix and the six singletons fail on C6, then the prefix
+    # (0,) is closed once and (0, 1) forces
+    result, started = closures_started(monkeypatch, forcing_number, cycle_graph(6))
+    assert result == (2, (0, 1))
+    assert started == [()] + [(v,) for v in range(6)] + [(0,), (0, 1)]
+
+
+def test_a_failed_try_rules_out_the_siblings_outside_its_fort(monkeypatch):
+    # on the star with center 3, {0} colors {0, 3}: the fort {1, 2} left
+    # uncolored rules out 3 as a last vertex, and (0, 1) is closed from {0, 3}
+    star = Graph(4, [(0, 3), (1, 3), (2, 3)])
+    result, started = closures_started(monkeypatch, forcing_number, star)
+    assert result == (2, (0, 1))
+    assert started == [(), (0,), (1,), (2,), (0,), (0, 1, 3)]
+
+
+def test_total_forcing_closes_only_admissible_prefixes(monkeypatch):
+    # no single vertex is total, so size 1 runs no closure; the prefix (0,)
+    # of P4 already forces, and 1 is the one last vertex that keeps 0 covered
+    g = path_graph(4)
+    assert forcing_number(g) == (1, (0,))
+    result, started = closures_started(monkeypatch, total_forcing_number, g)
+    assert result == (2, (0, 1))
+    assert started == [(0,)]
 
 
 def test_is_forcing_set_examples():
@@ -149,6 +179,26 @@ def test_total_forcing_examples():
     assert total_forcing_number(disjoint_union([path_graph(2)] * 3))[0] == 6
 
 
+def brute_force_corpus(rng, isolated):
+    """300 random graphs with n <= 10, with an isolated vertex only when
+    `isolated`.  The counts assert that disconnected graphs, degrees above
+    3, n = 10 and, when asked for, isolated vertices each occur."""
+    graphs, seen = [], collections.Counter()
+    while len(graphs) < 300:
+        g = random_graph(rng, rng.randint(1, 10), p=rng.choice((0.15, 0.3, 0.5)))
+        has_isolated = any(g.degree(v) == 0 for v in range(g.n))
+        if has_isolated and not isolated:
+            continue
+        graphs.append(g)
+        seen["isolated"] += has_isolated
+        seen["disconnected"] += not g.is_connected()
+        seen["degree above 3"] += g.max_degree() > 3
+        seen["n = 10"] += g.n == 10
+    assert all(seen[key] >= 10 for key in ("disconnected", "degree above 3", "n = 10")), seen
+    assert (seen["isolated"] >= 10) == isolated, seen
+    return graphs
+
+
 def brute_forcing(g):
     """The minimum size, then the lexicographically smallest subset that the
     sequential oracle completes."""
@@ -158,9 +208,10 @@ def brute_forcing(g):
                 return k, s
 
 
-def test_forcing_number_matches_brute_force():
+def test_forcing_number_matches_brute_force(rng):
     graphs = [g for n in range(1, 8) for g in enumerate_connected_subcubic(n)]
     graphs += [disjoint_union([path_graph(2)] * j) for j in range(2, 5)]
+    graphs += brute_force_corpus(rng, isolated=True)
     for g in graphs:
         assert forcing_number(g) == brute_forcing(g), encode_graph6(g)
 
@@ -175,11 +226,36 @@ def brute_total_forcing(g):
                     return k, s
 
 
-def test_total_forcing_matches_brute_force():
+def test_total_forcing_matches_brute_force(rng):
     graphs = [g for n in range(2, 8) for g in enumerate_connected_subcubic(n)]
     graphs += [disjoint_union([path_graph(2)] * j) for j in range(2, 5)]
+    graphs += brute_force_corpus(rng, isolated=False)
     for g in graphs:
         assert total_forcing_number(g) == brute_total_forcing(g), encode_graph6(g)
+
+
+# sha256 over one line per graph: its graph6 code, forcing_number and
+# total_forcing_number (null at n = 1) as compact JSON, for every connected
+# subcubic graph with n <= 8 in enumeration order, then 200 seeded random
+# connected subcubic graphs with n = 11 and 12.  Computed with the search
+# that tested every subset by `is_forcing_set`, so a search that skips a
+# subset it should not, or tries them in another order, fails here.
+_FORCING_WITNESSES_DIGEST = "3601d884f1cfbdba8c1ffbbc711b13e8dc1def7b6fd649e00da2af961781e09f"
+
+
+def test_forcing_witnesses_are_pinned():
+    graphs = [g for n in range(1, 9) for g in enumerate_connected_subcubic(n)]
+    assert len(graphs) == 307
+    rng = random.Random(4101)
+    while len(graphs) < 307 + 200:
+        g = random_graph(rng, rng.choice((11, 12)), p=0.35, max_degree=3)
+        if g.is_connected():
+            graphs.append(g)
+    digest = hashlib.sha256()
+    for g in graphs:
+        line = [encode_graph6(g), forcing_number(g), total_forcing_number(g) if g.n > 1 else None]
+        digest.update(json.dumps(line, separators=(",", ":")).encode() + b"\n")
+    assert digest.hexdigest() == _FORCING_WITNESSES_DIGEST
 
 
 def test_total_forcing_rejects_isolated_vertices():
