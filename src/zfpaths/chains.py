@@ -170,7 +170,7 @@ def sequentially_realizable(cs: ChainSet):
         fired = False
         for i, c in enumerate(cs.chains):
             j = pointer[i]
-            if j < len(c) and host.neighbors_mask(c[j - 1]) & ~colored == 1 << c[j]:
+            if j < len(c) and host._adj[c[j - 1]] & ~colored == 1 << c[j]:
                 colored |= 1 << c[j]
                 pointer[i] = j + 1
                 fired = True

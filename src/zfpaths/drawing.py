@@ -20,8 +20,8 @@ from __future__ import annotations
 import itertools
 import json
 from dataclasses import dataclass
-from fractions import Fraction
-from math import ceil, floor, gcd, lcm
+from math import gcd, lcm
+from operator import mul
 
 from .chains import chains_for, eliminate_bad, eliminate_unfavorite
 from .errors import ContractError, InternalLogicError, UnsupportedInputError
@@ -171,7 +171,7 @@ def realize(g: Graph, rows):
     x = _solve(g.n, _inequalities(rows, segments, tracks, place))
     if x is None:
         raise InternalLogicError(f"a consistent gap choice for rows {rows} has no coordinates")
-    drawing = _integer_grid(StandardDrawing(rows=rows, x=dict(enumerate(x)), host=g))
+    drawing = StandardDrawing(rows=rows, x=dict(enumerate(x)), host=g)
     violations = verify_drawing(drawing)
     if violations:
         raise InternalLogicError(f"realized drawing failed verification: {violations[:3]}")
@@ -233,21 +233,31 @@ def _primitive(a):
 
 
 def _solve(n, inequalities):
-    """Rational x with a·x > 0 for every integer vector a, or None if none exists.
+    """Ints x with a·x > 0 for every integer vector a, least value 0 and gcd
+    1, or None if no x exists.  Each a sums to 0, as `_inequalities` makes
+    it, so shifting x keeps a·x.
 
-    Fourier–Motzkin elimination: each combined row is divided by the gcd of
-    its entries and duplicates are dropped; a row that cancels to zero reads
-    0 > 0.  Back-substitution then puts each variable inside the open
-    interval left by the rows of its stage.
+    Fourier–Motzkin elimination removes, one stage at a time, the variable
+    that adds the fewest rows (lowest index first), divides each combined row
+    by its gcd and drops duplicates; a row that cancels to zero reads 0 > 0.
+    Back-substitution puts each variable in the open interval (lo, hi) left by
+    its stage at floor(lo) + 1, else ceil(hi) - 1, if inside, else at
+    (lo + hi) / 2, in integers: x = X / D, with each bound a pair (s, a),
+    a > 0, for s / a in units of 1 / D.  A variable in no row stays at 0
+    until the shift.
     """
     current = {_primitive(a) for a in inequalities}
     if None in current:
         return None
     stages = []
-    remaining = set(range(n))
-    while remaining:
-        i = min(remaining, key=lambda i: (_growth(current, i), i))
-        remaining.remove(i)
+    while current:
+        pos, neg = [0] * n, [0] * n
+        for a in current:
+            for k, c in enumerate(a):
+                if c:
+                    (pos if c > 0 else neg)[k] += 1
+        # how many more rows eliminating variable k leaves than it takes
+        i = min((pos[k] * neg[k] - pos[k] - neg[k], k) for k in range(n) if pos[k] or neg[k])[1]
         stages.append((i, current))
         nxt = {a for a in current if not a[i]}
         for p in (a for a in current if a[i] > 0):
@@ -257,36 +267,26 @@ def _solve(n, inequalities):
                     return None
                 nxt.add(c)
         current = nxt
-    x = [Fraction(0)] * n
+    X, D = [0] * n, 1
     for i, stage in reversed(stages):
         lo = hi = None
-        for a in stage:
-            if a[i]:
-                bound = Fraction(-sum(c * x[k] for k, c in enumerate(a) if c), a[i])
-                if a[i] > 0:
-                    lo = bound if lo is None else max(lo, bound)
-                else:
-                    hi = bound if hi is None else min(hi, bound)
-        x[i] = _between(lo, hi)
-    return x
-
-
-def _growth(rows, i):
-    """How many more rows eliminating variable i leaves than it takes."""
-    pos = sum(1 for a in rows if a[i] > 0)
-    neg = sum(1 for a in rows if a[i] < 0)
-    return pos * neg - pos - neg
-
-
-def _between(lo, hi):
-    """The integer nearest an open interval's finite end inside it, else its midpoint."""
-    if lo is not None:
-        x = Fraction(floor(lo) + 1)
-    elif hi is not None:
-        x = Fraction(ceil(hi) - 1)
-    else:
-        return Fraction(0)
-    return x if hi is None or x < hi else (lo + hi) / 2
+        for a in (a for a in stage if a[i]):
+            c, s = a[i], -sum(map(mul, a, X))  # X[i] is still 0
+            if c > 0 and (lo is None or s * lo[1] > lo[0] * c):
+                lo = (s, c)
+            elif c < 0 and (hi is None or s * hi[1] > hi[0] * c):
+                hi = (-s, -c)
+        v = lo[0] // (lo[1] * D) + 1 if lo else -(-hi[0] // (hi[1] * D)) - 1
+        if hi is None or v * D * hi[1] < hi[0]:
+            X[i] = v * D
+        else:  # (lo + hi) / 2 = num / den in units of 1 / D
+            num, den = lo[0] * hi[1] + hi[0] * lo[1], 2 * lo[1] * hi[1]
+            g = gcd(num, den)
+            X, D = [t * den // g for t in X], D * den // g
+            X[i] = num // g
+    least = min(X, default=0)
+    step = gcd(*(v - least for v in X)) or 1
+    return [(v - least) // step for v in X]
 
 
 def _integer_grid(d: StandardDrawing) -> StandardDrawing:

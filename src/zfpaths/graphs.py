@@ -202,10 +202,8 @@ def encode_graph6(g):
     """Encode a graph with n <= 62 as a single graph6 record."""
     if g.n > 62:
         raise UnsupportedInputError(f"graph6 single-byte size form needs n <= 62, got {g.n}")
-    pairs = _pair_order(g.n)
-    bits = [1 if g.adjacent(i, j) else 0 for i, j in pairs]
-    while len(bits) % 6:
-        bits.append(0)
+    bits = [g._adj[j] >> i & 1 for i, j in _pair_order(g.n)]
+    bits += [0] * (-len(bits) % 6)
     out = [chr(63 + g.n)]
     for k in range(0, len(bits), 6):
         val = 0
@@ -252,11 +250,12 @@ def is_induced_path(g, seq):
         raise InvalidVertexError(f"repeated vertex in sequence {seq}")
     for u in seq:
         g._check(u)
+    bits = [1 << u for u in seq]
+    inside = sum(bits)
     for i, u in enumerate(seq):
-        for j in range(i + 1, len(seq)):
-            want = j == i + 1
-            if g.adjacent(u, seq[j]) != want:
-                return False
+        # the members adjacent to u are exactly the ones beside it
+        if g._adj[u] & inside != sum(bits[max(i - 1, 0) : i + 2]) - bits[i]:
+            return False
     return True
 
 

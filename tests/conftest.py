@@ -4,6 +4,7 @@ and the finite-difference check of the nullity search's Jacobian."""
 import itertools
 import random
 from fractions import Fraction
+from math import ceil, floor, gcd, lcm
 
 import numpy as np
 import pytest
@@ -94,6 +95,66 @@ def brute_drawing_ok(g: Graph, d):
         if not any(at[w] == meet for w in {a, b} & {c, e}):
             return False
     return True
+
+
+def fraction_solve(n, inequalities):
+    """Fourier–Motzkin elimination in Fractions, then x shifted so its least
+    value is 0 and scaled onto the smallest integer grid; the oracle of the
+    integer `drawing._solve`, which must return the same x, or None with it.
+
+    Each stage eliminates the remaining variable i with the least
+    (growth, i), where growth is how many more rows its elimination leaves
+    than it takes.  Back-substitution puts each variable at floor(lo) + 1,
+    else ceil(hi) - 1, when that lies inside the open interval (lo, hi) left
+    by its stage's rows, else at the midpoint, and at 0 when it has no bound.
+    """
+
+    def primitive(a):
+        d = gcd(*a)
+        return tuple(c // d for c in a) if d else None
+
+    def growth(rows, i):
+        pos = sum(1 for a in rows if a[i] > 0)
+        neg = sum(1 for a in rows if a[i] < 0)
+        return pos * neg - pos - neg
+
+    current = {primitive(a) for a in inequalities}
+    if None in current:
+        return None
+    stages, remaining = [], set(range(n))
+    while remaining:
+        i = min(remaining, key=lambda i: (growth(current, i), i))
+        remaining.remove(i)
+        stages.append((i, current))
+        nxt = {a for a in current if not a[i]}
+        for p in (a for a in current if a[i] > 0):
+            for q in (a for a in current if a[i] < 0):
+                c = primitive(tuple(p[i] * qk - q[i] * pk for pk, qk in zip(p, q)))
+                if c is None:
+                    return None
+                nxt.add(c)
+        current = nxt
+    x = [Fraction(0)] * n
+    for i, stage in reversed(stages):
+        lo = hi = None
+        for a in stage:
+            if a[i]:
+                bound = Fraction(-sum(c * x[k] for k, c in enumerate(a) if c), a[i])
+                if a[i] > 0:
+                    lo = bound if lo is None else max(lo, bound)
+                else:
+                    hi = bound if hi is None else min(hi, bound)
+        if lo is not None:
+            x[i] = Fraction(floor(lo) + 1)
+        elif hi is not None:
+            x[i] = Fraction(ceil(hi) - 1)
+        if hi is not None and not x[i] < hi:
+            x[i] = (lo + hi) / 2
+    least = min(x, default=0)
+    scale = lcm(*(v.denominator for v in x))
+    ints = [int((v - least) * scale) for v in x]
+    step = gcd(*ints) or 1
+    return [v // step for v in ints]
 
 
 def brute_canonical_form(g: Graph):

@@ -6,7 +6,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from conftest import brute_drawing_ok
+from conftest import brute_drawing_ok, fraction_solve, random_graph
 
 from zfpaths import drawing
 from zfpaths.drawing import (
@@ -241,12 +241,77 @@ def test_realize_raises_when_solve_refuses_a_consistent_gap_choice(monkeypatch):
         realize(g, ((0, 1), (3, 2)))
 
 
+def _on_smallest_grid(x):
+    return all(type(v) is int for v in x) and min(x) == 0 and math.gcd(*x) == 1
+
+
 def test_solve_proves_infeasible_systems():
     # x0 > x1 and x1 > x0 sum to 0 > 0; the zero vector alone reads 0 > 0
     assert _solve(2, [(1, -1), (-1, 1)]) is None
     assert _solve(1, [(0,)]) is None
     x = _solve(2, [(1, -1)])
     assert x[0] > x[1]
+    assert type(x) is list and _on_smallest_grid(x)
+
+
+@pytest.mark.parametrize(
+    "n, rows, x",
+    [
+        # x0 is eliminated first: x0 > x1 bounds it from below only
+        (2, [(1, -1)], [1, 0]),
+        # and x1 > x0 from above only, at ceil(0) - 1 = -1 before the shift
+        (2, [(-1, 1)], [0, 1]),
+        # x1 < x2 = 0 gives x1 = -1; then x0 lies in (x2, 3 x2 - 2 x1) = (0, 2),
+        # where the integer 1 fits
+        (3, [(1, 0, -1), (-1, -2, 3)], [2, 0, 1]),
+        # x1 = -1, and x0 in (-1, 0) takes the midpoint -1/2: X and D double
+        (3, [(1, -1, 0), (-1, 0, 1)], [1, 0, 2]),
+        # x2 = -1; x1 in (-1, -1/2) takes -3/4, which multiplies X and D by 4;
+        # x0 in (-3/4, -1/4) takes -1/2 = -2/4, on that grid already: d = 1
+        (4, [(-1, -1, 1, 1), (0, 1, -1, 0), (1, -1, 0, 0)], [2, 1, 0, 4]),
+        # x2 is in no row and keeps 0
+        (3, [(1, -1, 0)], [1, 0, 0]),
+    ],
+)
+def test_solve_back_substitution_branches(n, rows, x):
+    assert _solve(n, rows) == fraction_solve(n, rows) == x
+    assert all(sum(map(int.__mul__, a, x)) > 0 for a in rows)
+
+
+def _random_row(rng, n, translation_invariant):
+    a = [rng.randint(-2, 2) for _ in range(n)]
+    if translation_invariant:
+        a[-1] -= sum(a)  # a·1 = 0, so shifting x keeps a·x
+    return tuple(a)
+
+
+def test_solve_matches_the_fraction_oracle_on_feasible_systems(rng):
+    # rows oriented so that a·p > 0 at a random integer point p; the rows sum
+    # to 0, as the realizer's do, so the shifted x must satisfy them too
+    for _ in range(500):
+        n = rng.randint(2, 7)
+        p = [rng.randint(-4, 4) for _ in range(n)]
+        rows = []
+        for _ in range(rng.randint(1, 8)):
+            a = _random_row(rng, n, True)
+            side = sum(map(int.__mul__, a, p))
+            if side:
+                rows.append(a if side > 0 else tuple(-c for c in a))
+        x = _solve(n, rows)
+        assert x == fraction_solve(n, rows), rows
+        assert _on_smallest_grid(x) or not rows, rows
+        assert all(sum(map(int.__mul__, a, x)) > 0 for a in rows), rows
+
+
+def test_solve_matches_the_fraction_oracle_on_unconstrained_systems(rng):
+    outcomes = {True: 0, False: 0}
+    for _ in range(500):
+        n = rng.randint(1, 6)
+        rows = [_random_row(rng, n, False) for _ in range(rng.randint(1, 6))]
+        x = _solve(n, rows)
+        assert x == fraction_solve(n, rows), rows
+        outcomes[x is None] += 1
+    assert min(outcomes.values()) >= 50, outcomes
 
 
 def test_draw_raises_when_the_rows_have_no_drawing():
@@ -534,9 +599,13 @@ def test_render_rejects_an_unknown_format():
 
 # sha256 over one line per F <= 3 graph with n <= 8, in enumeration order: its
 # graph6 code and drawing_to_json_obj(build_parallel_drawing(g)) as compact
-# sorted-key JSON.  Computed with the dense back-substitution in _solve, so a
-# change to the solver's arithmetic that moves any coordinate fails here.
+# sorted-key JSON.  Both digests were computed with the Fraction
+# back-substitution that `conftest.fraction_solve` keeps, so a change to the
+# solver's arithmetic that moves any coordinate fails here.
 _PARALLEL_DRAWINGS_DIGEST = "4aca97a814362219a0f26ded3e36be3d5a15e1f14bcc95fb8568510606737c23"
+# The same over 200 seeded random connected subcubic F <= 3 graphs with
+# n = 11 and 12, where the midpoints nest deeper and the grids are wider.
+_PARALLEL_DRAWINGS_N12_DIGEST = "f0015dd21b7999b737884abfab2cfa2248f9c6720adcc9344196795df1af28b9"
 
 
 def test_parallel_drawing_coordinates_are_pinned():
@@ -549,3 +618,14 @@ def test_parallel_drawing_coordinates_are_pinned():
                 count += 1
     assert count == 290
     assert digest.hexdigest() == _PARALLEL_DRAWINGS_DIGEST
+
+
+def test_parallel_drawing_coordinates_are_pinned_at_n_11_and_12():
+    rng, digest, count = random.Random(4101), hashlib.sha256(), 0
+    while count < 200:
+        g = random_graph(rng, rng.choice((11, 12)), p=0.35, max_degree=3)
+        if g.is_connected() and forcing_number(g)[0] <= 3:
+            obj = [encode_graph6(g), drawing_to_json_obj(build_parallel_drawing(g))]
+            digest.update(json.dumps(obj, sort_keys=True, separators=(",", ":")).encode() + b"\n")
+            count += 1
+    assert digest.hexdigest() == _PARALLEL_DRAWINGS_N12_DIGEST
