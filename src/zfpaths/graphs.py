@@ -259,107 +259,89 @@ def is_induced_path(g, seq):
     return True
 
 
-# -- canonical forms (exact search for the minimum relabeling) -------------
+# -- canonical keys (individualization-refinement) ------------------------
 
 ISO_CAP = 10
 
 
+def _equitable(edges, colors, powers):
+    """Refine a colouring (colours below n) until its classes stop splitting.
+
+    Each round gives every vertex the rank of (its colour, its number of
+    neighbours of each colour), the numbers read as one base-(n + 1)
+    integer, which `powers` spells out.  So the ranks do not depend on the
+    labelling, and each class splits in place.
+    """
+    top = powers[-1]
+    count = len(set(colors))
+    while True:
+        sigs = [c * top for c in colors]
+        for u, v in edges:
+            sigs[u] += powers[colors[v]]
+            sigs[v] += powers[colors[u]]
+        table = {s: i for i, s in enumerate(sorted(set(sigs)))}
+        colors = [table[s] for s in sigs]
+        if len(table) == count:
+            return colors
+        count = len(table)
+
+
+def _least_leaf(n, edges, adj):
+    """Graph6 columns and labelling of the least leaf of the search tree.
+
+    The root is the equitable refinement of the degrees.  A node whose
+    colouring has a class of two or more vertices has a child for each
+    vertex of its first smallest such class: that vertex individualized
+    (kept below the rest of its class), then refined.  The tree does not
+    depend on the labelling, so neither does the least leaf.  At a leaf
+    every vertex has a colour of its own, which is its label; column j holds
+    the edges from label j to labels 0..j-1, label 0 as the top bit, so
+    column lists order as the graph6 strings do.
+    """
+    powers = [(n + 1) ** i for i in range(n + 1)]
+    best = labels = None
+    stack = [_equitable(edges, [a.bit_count() for a in adj], powers)]
+    while stack:
+        colors = stack.pop()
+        cells = [[] for _ in range(n)]
+        for v, c in enumerate(colors):
+            cells[c].append(v)
+        cell = min((cell for cell in cells if len(cell) > 1), key=len, default=None)
+        if cell is None:
+            columns = [0] * n
+            for u, v in edges:
+                a, b = sorted((colors[u], colors[v]))
+                columns[b] |= 1 << (b - 1 - a)
+            if best is None or columns < best:
+                best, labels = columns, colors
+            continue
+        c, tried = colors[cell[0]], []
+        for v in cell:
+            # swapping v with a tried twin (same neighbours apart from each
+            # other) is an automorphism that keeps this colouring, so it maps
+            # the twin's subtree onto v's, leaf for leaf
+            if any(adj[u] & ~(1 << v) == adj[v] & ~(1 << u) for u in tried):
+                continue
+            tried.append(v)
+            split = [x + (x > c or (x == c and w != v)) for w, x in enumerate(colors)]
+            stack.append(_equitable(edges, split, powers))
+    return best, labels
+
+
 @lru_cache(maxsize=None)
 def canonical_form(g):
-    """Minimum graph6 encoding over all vertex relabelings.
+    """The graph relabelled by the least leaf of `_least_leaf`, as graph6.
 
-    Equal strings characterize isomorphic graphs.  The search assigns labels
-    0, 1, 2, ... in turn.  In graph6 bit order, column j holds the edges
-    from label j to labels 0..j-1, so it depends only on the vertices that
-    hold labels 0..j, and the minimum string extends a prefix that is
-    minimal at every depth.  Every partial labeling whose columns so far are
-    minimal is kept and extended by every unlabeled vertex.  Capped at
-    n = ISO_CAP: the number of tied labelings grows fast on symmetric
-    graphs such as long cycles.  Cached, so a graph that the enumeration
-    has sorted by its form is keyed again for free.
+    Equal strings characterize isomorphic graphs.  Capped at n = ISO_CAP,
+    as far as the exhaustive tiers check the keys.  Cached, so a graph that
+    several callers key is searched once.
     """
     if g.n > ISO_CAP:
         raise UnsupportedInputError(f"canonical_form capped at n = {ISO_CAP}, got {g.n}")
-    adj = g._adj
-    # u and v are twins when their neighborhoods agree apart from each
-    # other (same open or same closed neighborhood)
-    twins = [
-        sum(1 << u for u in range(v) if adj[u] & ~(1 << v) == adj[v] & ~(1 << u))
-        for v in range(g.n)
-    ]
-    states = [((), (1 << g.n) - 1)]  # (labeled vertices in label order, unlabeled mask)
-    for _ in range(g.n):
-        best, extended = None, []
-        for prefix, free in states:
-            for v in _mask_bits(free):
-                # swapping v with an unlabeled twin is an automorphism that
-                # fixes the labeled prefix, so the earlier twin's subtree
-                # holds the same strings
-                if twins[v] & free:
-                    continue
-                column = 0
-                for u in prefix:
-                    column = column << 1 | adj[v] >> u & 1
-                if best is None or column < best:
-                    best, extended = column, []
-                if column == best:
-                    extended.append((prefix + (v,), free & ~(1 << v)))
-        states = extended
-    # the labeling maps new label -> original vertex, so relabel by its inverse
-    inverse = [0] * g.n
-    for label, orig in enumerate(states[0][0]):
-        inverse[orig] = label
-    return encode_graph6(g.relabel(inverse))
+    return encode_graph6(g.relabel(_least_leaf(g.n, g.edges, g._adj)[1]))
 
 
 # -- exhaustive enumeration of connected subcubic graphs -------------------
-
-def _refine(g):
-    """Colour refinement from the degrees, until the classes stop splitting.
-
-    Returns the stable colour of each vertex and the sorted signatures of
-    every round.  Colours are numbered by sorted signature, so isomorphic
-    graphs get equal signatures and an isomorphism maps each vertex to one
-    of the same colour.
-    """
-    nbrs = [tuple(_mask_bits(m)) for m in g._adj]
-    colors = [len(vs) for vs in nbrs]
-    rounds = []
-    while True:
-        sigs = [(colors[v], tuple(sorted(colors[w] for w in vs))) for v, vs in enumerate(nbrs)]
-        table = {s: i for i, s in enumerate(sorted(set(sigs)))}
-        rounds.append(tuple(sorted(sigs)))
-        if len(table) == len(set(colors)):
-            return colors, tuple(rounds)
-        colors = [table[s] for s in sigs]
-
-
-def _isomorphic(g, g_colors, h, h_colors):
-    """Exact test for two graphs with equal refinement signatures.
-
-    Backtracks over maps that send the vertices of g, smallest colour class
-    first, to unused vertices of h of the same colour, keeping adjacency to
-    every vertex mapped so far.
-    """
-    order = sorted(range(g.n), key=lambda v: (g_colors.count(g_colors[v]), g_colors[v]))
-    ga, ha = g._adj, h._adj
-    image = []
-
-    def extend(depth, used):
-        if depth == g.n:
-            return True
-        v = order[depth]
-        for w in range(h.n):
-            if used >> w & 1 or h_colors[w] != g_colors[v]:
-                continue
-            if all(ga[v] >> u & 1 == ha[w] >> x & 1 for u, x in zip(order, image)):
-                image.append(w)
-                if extend(depth + 1, used | 1 << w):
-                    return True
-                image.pop()
-        return False
-
-    return extend(0, 0)
 
 
 @lru_cache(maxsize=None)
@@ -367,25 +349,23 @@ def enumerate_connected_subcubic(n):
     """One representative per isomorphism class of connected graphs with max degree <= 3.
 
     Built by repeatedly attaching a new vertex to 1..3 existing vertices of
-    degree < 3 (every connected graph has a build order of this shape).  A
-    candidate is kept unless it is isomorphic to a kept graph with the same
-    edge count and the same colour-refinement signatures (`_refine`); inside
-    such a group `_isomorphic` decides exactly.  Each class keeps its first
-    candidate in build order, and the output is sorted by canonical form,
-    so the order is deterministic and n is capped at ISO_CAP.
+    degree < 3 (every connected graph has a build order of this shape).
+    Each class keeps its first candidate in build order, found by its key's
+    columns from `_least_leaf`; a candidate is an edge tuple and adjacency
+    masks, and only the kept ones become graphs.  The output is sorted by
+    key, so the order is deterministic and n is capped at ISO_CAP.
     """
     if not 1 <= n <= ISO_CAP:
         raise UnsupportedInputError(f"built-in generator handles 1 <= n <= {ISO_CAP}, got {n}")
     if n == 1:
         return [Graph(1)]
-    buckets = {}
+    kept = {}
     for g in enumerate_connected_subcubic(n - 1):
         eligible = [u for u in range(g.n) if g.degree(u) < 3]
         for size in (1, 2, 3):
             for subset in itertools.combinations(eligible, size):
-                cand = Graph(g.n + 1, list(g.edges) + [(u, g.n) for u in subset])
-                colors, rounds = _refine(cand)
-                kept = buckets.setdefault((cand.edge_count, rounds), [])
-                if not any(_isomorphic(h, hc, cand, colors) for h, hc in kept):
-                    kept.append((cand, colors))
-    return sorted((h for kept in buckets.values() for h, _ in kept), key=canonical_form)
+                edges = g.edges + tuple((u, g.n) for u in subset)
+                adj = [a | (u in subset) << g.n for u, a in enumerate(g._adj)]
+                adj.append(sum(1 << u for u in subset))
+                kept.setdefault(tuple(_least_leaf(n, edges, adj)[0]), edges)
+    return [Graph(n, kept[key]) for key in sorted(kept)]

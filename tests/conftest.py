@@ -2,6 +2,7 @@
 and the finite-difference check of the nullity search's Jacobian."""
 
 import itertools
+import os
 import random
 from fractions import Fraction
 from math import ceil, floor, gcd, lcm
@@ -9,7 +10,7 @@ from math import ceil, floor, gcd, lcm
 import numpy as np
 import pytest
 
-from zfpaths.graphs import Graph, encode_graph6
+from zfpaths.graphs import Graph, encode_graph6, read_graph6_file
 from zfpaths.nullity import _jacobian, assemble, edge_ends
 
 
@@ -160,6 +161,13 @@ def fraction_solve(n, inequalities):
 def brute_canonical_form(g: Graph):
     """Minimum graph6 encoding over all n! relabelings; the canonical-form oracle."""
     return min(encode_graph6(g.relabel(p)) for p in itertools.permutations(range(g.n)))
+
+
+def subcubic_n8():
+    """One connected subcubic graph per class with n = 1..8, 307 in all, frozen
+    in a file so that digests taken over them do not move when the
+    enumeration's representatives or order change."""
+    return read_graph6_file(os.path.join(os.path.dirname(__file__), "data", "subcubic_n8.g6"))
 
 
 def random_graph(rng: random.Random, n, p=0.4, max_degree=None):

@@ -6,7 +6,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from conftest import brute_drawing_ok, fraction_solve, random_graph
+from conftest import brute_drawing_ok, fraction_solve, random_graph, subcubic_n8
 
 from zfpaths import drawing
 from zfpaths.drawing import (
@@ -597,9 +597,9 @@ def test_render_rejects_an_unknown_format():
         render(d, "png")
 
 
-# sha256 over one line per F <= 3 graph with n <= 8, in enumeration order: its
-# graph6 code and drawing_to_json_obj(build_parallel_drawing(g)) as compact
-# sorted-key JSON.  Both digests were computed with the Fraction
+# sha256 over one line per F <= 3 graph of `conftest.subcubic_n8`, in file
+# order: its graph6 code and drawing_to_json_obj(build_parallel_drawing(g)) as
+# compact sorted-key JSON.  Both digests were computed with the Fraction
 # back-substitution that `conftest.fraction_solve` keeps, so a change to the
 # solver's arithmetic that moves any coordinate fails here.
 _PARALLEL_DRAWINGS_DIGEST = "4aca97a814362219a0f26ded3e36be3d5a15e1f14bcc95fb8568510606737c23"
@@ -610,12 +610,11 @@ _PARALLEL_DRAWINGS_N12_DIGEST = "f0015dd21b7999b737884abfab2cfa2248f9c6720adcc93
 
 def test_parallel_drawing_coordinates_are_pinned():
     digest, count = hashlib.sha256(), 0
-    for n in range(1, 9):
-        for g in enumerate_connected_subcubic(n):
-            if forcing_number(g)[0] <= 3:
-                obj = [encode_graph6(g), drawing_to_json_obj(build_parallel_drawing(g))]
-                digest.update(json.dumps(obj, sort_keys=True, separators=(",", ":")).encode() + b"\n")
-                count += 1
+    for g in subcubic_n8():
+        if forcing_number(g)[0] <= 3:
+            obj = [encode_graph6(g), drawing_to_json_obj(build_parallel_drawing(g))]
+            digest.update(json.dumps(obj, sort_keys=True, separators=(",", ":")).encode() + b"\n")
+            count += 1
     assert count == 290
     assert digest.hexdigest() == _PARALLEL_DRAWINGS_DIGEST
 

@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from conftest import random_graph, sequential_closure
+from conftest import random_graph, sequential_closure, subcubic_n8
 from zfpaths import forcing
 from zfpaths.errors import InvalidVertexError, UnsupportedInputError
 from zfpaths.forcing import closure, forcing_number, is_forcing_set, total_forcing_number
@@ -235,8 +235,8 @@ def test_total_forcing_matches_brute_force(rng):
 
 
 # sha256 over one line per graph: its graph6 code, forcing_number and
-# total_forcing_number (null at n = 1) as compact JSON, for every connected
-# subcubic graph with n <= 8 in enumeration order, then 200 seeded random
+# total_forcing_number (null at n = 1) as compact JSON, for the 307 graphs of
+# `conftest.subcubic_n8` in file order, then 200 seeded random
 # connected subcubic graphs with n = 11 and 12.  Computed with the search
 # that tested every subset by `is_forcing_set`, so a search that skips a
 # subset it should not, or tries them in another order, fails here.
@@ -244,7 +244,7 @@ _FORCING_WITNESSES_DIGEST = "3601d884f1cfbdba8c1ffbbc711b13e8dc1def7b6fd649e00da
 
 
 def test_forcing_witnesses_are_pinned():
-    graphs = [g for n in range(1, 9) for g in enumerate_connected_subcubic(n)]
+    graphs = subcubic_n8()
     assert len(graphs) == 307
     rng = random.Random(4101)
     while len(graphs) < 307 + 200:

@@ -4,12 +4,10 @@ from collections import defaultdict
 
 import pytest
 
-from conftest import brute_canonical_form, random_graph
+from conftest import brute_canonical_form, random_graph, subcubic_n8
 from zfpaths.errors import GraphFormatError, InvalidVertexError, UnsupportedInputError
 from zfpaths.graphs import (
     Graph,
-    _isomorphic,
-    _refine,
     canonical_form,
     complete_graph,
     cycle_graph,
@@ -172,27 +170,81 @@ def test_canonical_form_matches_brute_force(rng):
         perm = list(range(n + 2))
         rng.shuffle(perm)
         graphs.append(Graph(n + 2, edges).relabel(perm))
-    for g in graphs:
-        assert canonical_form(g) == brute_canonical_form(g), g
+    keys = [canonical_form(g) for g in graphs]
+    brute = [brute_canonical_form(g) for g in graphs]
+    # two keys are equal exactly when the brute-force minima are
+    assert len(set(keys)) == len(set(brute)) == len(set(zip(keys, brute)))
+    # and each key is a relabeling of its graph
+    for key, form in zip(keys, brute):
+        assert brute_canonical_form(parse_graph6(key)) == form, key
 
 
-# keys computed by the n! sweep that canonical_form replaced
+def test_canonical_form_keeps_every_class_key_under_relabeling(rng):
+    for n in range(1, 9):
+        for g in enumerate_connected_subcubic(n):
+            key = canonical_form(g)
+            for _ in range(3):
+                perm = list(range(n))
+                rng.shuffle(perm)
+                assert canonical_form(g.relabel(perm)) == key
+
+
+def _refinement_key(g):
+    """The edge count and the sorted vertex signatures of every round of
+    colour refinement from the degrees, until the classes stop splitting."""
+    nbrs = [g.neighbors(v) for v in range(g.n)]
+    colors = [len(vs) for vs in nbrs]
+    rounds = []
+    while True:
+        sigs = [(colors[v], tuple(sorted(colors[w] for w in vs))) for v, vs in enumerate(nbrs)]
+        table = {s: i for i, s in enumerate(sorted(set(sigs)))}
+        rounds.append(tuple(sorted(sigs)))
+        if len(table) == len(set(colors)):
+            return g.edge_count, tuple(rounds)
+        colors = [table[s] for s in sigs]
+
+
+def _refinement_ties(n):
+    """Groups of enumerated classes that colour refinement alone cannot split."""
+    groups = defaultdict(list)
+    for g in enumerate_connected_subcubic(n):
+        groups[_refinement_key(g)].append(g)
+    return [group for group in groups.values() if len(group) > 1]
+
+
+def test_canonical_form_splits_graphs_that_refinement_cannot():
+    assert [len(group) for group in _refinement_ties(6)] == [2, 2, 2]
+    assert sum(len(group) for group in _refinement_ties(8)) == 33
+    for n in (6, 7, 8):
+        for group in _refinement_ties(n):
+            assert len({canonical_form(g) for g in group}) == len(group)
+
+
 _PETERSEN = Graph(
     10,
     [(i, (i + 1) % 5) for i in range(5)]
     + [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
     + [(i, 5 + i) for i in range(5)],
 )
+# each key checked to be a relabeling of its graph by networkx
 _N10_KEYS = [
-    (_PETERSEN, "I?LRCecq?"),
-    (disjoint_union([path_graph(2)] * 5), "I??G`@?_?"),
+    (_PETERSEN, "IsP@PGXD_"),
+    (disjoint_union([path_graph(2)] * 5), "I`?G?C??G"),
     (Graph(10), "I????????"),
 ]
 
 
 def test_canonical_form_pins_ten_vertex_keys(rng):
+    import networkx as nx
+
+    def to_nx(g):
+        h = nx.empty_graph(g.n)
+        h.add_edges_from(g.edges)
+        return h
+
     for g, key in _N10_KEYS:
         assert canonical_form(g) == key
+        assert nx.is_isomorphic(to_nx(g), to_nx(parse_graph6(key)))
         for _ in range(5):
             perm = list(range(10))
             rng.shuffle(perm)
@@ -208,7 +260,9 @@ def test_canonical_form_size_cap():
 
 
 def test_enumeration_small_counts():
-    assert [len(enumerate_connected_subcubic(n)) for n in range(1, 6)] == [1, 1, 2, 6, 10]
+    # connected graphs of maximum degree at most 3, by vertex count: OEIS A112410
+    counts = [len(enumerate_connected_subcubic(n)) for n in range(1, 10)]
+    assert counts == [1, 1, 2, 6, 10, 29, 64, 194, 531]
     assert {g.edge_count for g in enumerate_connected_subcubic(3)} == {2, 3}  # P3, K3
 
 
@@ -244,51 +298,19 @@ def test_enumeration_completeness_up_to_five():
         assert got == expected
 
 
+def test_enumeration_has_the_classes_of_the_frozen_corpus():
+    graphs = [g for n in range(1, 9) for g in enumerate_connected_subcubic(n)]
+    frozen = subcubic_n8()
+    assert len(graphs) == len(frozen) == 307
+    assert {canonical_form(g) for g in graphs} == {canonical_form(g) for g in frozen}
+
+
 # sha256 of the graph6 records of enumerate_connected_subcubic(k), k = 1..8,
-# concatenated; computed when the dedup still called canonical_form on every
-# candidate, so a changed representative or order fails here
-_ENUM_DIGEST = "ca2275f35565a8a51e72b1438cd080cde7a0fcf39e5374dcfdadfa649a71269c"
+# concatenated; the classes are the frozen corpus's (test above), so this
+# fails on a changed representative or order
+_ENUM_DIGEST = "fa9b5aae3e492a2144590bc65b55ad3ae394f013391acaa751ef6a13ccb86eb8"
 
 
 def test_enumeration_output_is_pinned():
     records = "".join(encode_graph6(g) for n in range(1, 9) for g in enumerate_connected_subcubic(n))
     assert hashlib.sha256(records.encode()).hexdigest() == _ENUM_DIGEST
-
-
-# -- colour refinement and the exact isomorphism test -------------------------------
-
-
-def test_isomorphic_accepts_every_relabeling(rng):
-    for n in range(1, 8):
-        for g in enumerate_connected_subcubic(n):
-            colors, rounds = _refine(g)
-            for _ in range(3):
-                perm = list(range(n))
-                rng.shuffle(perm)
-                h = g.relabel(perm)
-                h_colors, h_rounds = _refine(h)
-                assert h_rounds == rounds
-                assert [h_colors[perm[v]] for v in range(n)] == colors
-                assert _isomorphic(g, colors, h, h_colors)
-
-
-def _shared_buckets(n):
-    """Groups of enumerated graphs that the enumeration's key cannot split."""
-    buckets = defaultdict(list)
-    for g in enumerate_connected_subcubic(n):
-        buckets[g.edge_count, _refine(g)[1]].append(g)
-    return [b for b in buckets.values() if len(b) > 1]
-
-
-def test_isomorphic_rejects_graphs_that_refinement_cannot_split(rng):
-    assert [len(b) for b in _shared_buckets(6)] == [2, 2, 2]
-    assert sum(len(b) for b in _shared_buckets(8)) == 33
-    for n in (6, 7, 8):
-        for g, h in itertools.chain.from_iterable(
-            itertools.combinations(b, 2) for b in _shared_buckets(n)
-        ):
-            assert canonical_form(g) != canonical_form(h)
-            perm = list(range(n))
-            rng.shuffle(perm)
-            for other in (h, h.relabel(perm)):
-                assert not _isomorphic(g, _refine(g)[0], other, _refine(other)[0])

@@ -234,6 +234,18 @@ def test_graph_listed_twice_is_checked_and_written_once(tmp_path, monkeypatch):
     assert report.totals[report.records[triangle]["tag"]] == 2
 
 
+def test_two_labelings_above_the_key_cap_are_two_records(tmp_path):
+    # canonical keys stop at n = 10, so an 11-vertex graph is keyed by its
+    # labeled graph6 string and each labeling gets its own record
+    g = path_graph(11)
+    labelings = [encode_graph6(g), encode_graph6(g.relabel([(v + 1) % 11 for v in range(11)]))]
+    corpus = tmp_path / "p11.g6"
+    corpus.write_text("".join(line + "\n" for line in labelings))
+    report = run_suite(str(corpus), checks=("E_bounds",), seed=0)
+    assert sorted(report.records) == sorted(labelings)
+    assert labelings[0] != labelings[1]
+
+
 def test_suite_classifies_k4_and_k33(tmp_path):
     path = tmp_path / "two.g6"
     path.write_text("# corpus\nC~\nEFz_\n")  # K4 and K3,3
