@@ -12,7 +12,7 @@ on the smallest integer grid or proves that no coordinates can: the
 three-row pipeline, drawings with one or two rows and the k-row search all
 call it.  `realize` verifies each drawing it returns, once, so its callers
 do not verify again; `render` verifies whatever it is given, because a
-drawing may come from elsewhere.
+drawing may come from elsewhere, and draws only int x.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from __future__ import annotations
 import itertools
 import json
 from dataclasses import dataclass
-from math import gcd, lcm
+from math import gcd
 from operator import mul
 
 from .chains import chains_for, eliminate_bad, eliminate_unfavorite
@@ -289,20 +289,6 @@ def _solve(n, inequalities):
     return [(v - least) // step for v in X]
 
 
-def _integer_grid(d: StandardDrawing) -> StandardDrawing:
-    """The drawing with int x, shifted so its least value is 0, then scaled onto
-    the smallest integer grid.  The map is affine with one positive scale on
-    every row, so it keeps every orientation sign, and with them the verdict
-    of `verify_drawing`."""
-    lo = min(d.x.values())
-    scale = lcm(*(x.denominator for x in d.x.values()))
-    ints = {v: int((x - lo) * scale) for v, x in d.x.items()}
-    step = gcd(*ints.values()) or 1
-    return StandardDrawing(
-        rows=d.rows, x={v: val // step for v, val in ints.items()}, host=d.host
-    )
-
-
 def _draw(g: Graph, rows) -> StandardDrawing:
     d = realize(g, rows)
     if d is None:
@@ -426,18 +412,19 @@ def _row_structures(g: Graph, k):
 
 
 def render(d: StandardDrawing, fmt="json"):
-    """Serialize a drawing that `verify_drawing` passes as svg, dot, or json
-    text; svg and dot put it on the smallest integer grid first, as `realize` does."""
+    """Serialize a drawing that `verify_drawing` passes, with `int` x as
+    `realize` returns them, as svg, dot, or json text at its own coordinates."""
     violations = verify_drawing(d)
     if violations:
         raise ContractError(f"refusing to render an invalid drawing: {violations[:3]}")
+    if not all(isinstance(x, int) for x in d.x.values()):
+        raise ContractError("refusing to render a drawing whose x are not all int")
     if fmt == "json":
         return json.dumps(drawing_to_json_obj(d))
     if fmt not in ("svg", "dot"):
         raise ContractError(f"unknown render format {fmt!r}")
-    grid = _integer_grid(d)
     row = {v: i for i, r in enumerate(d.rows) for v in r}
-    return _render_svg(grid, row) if fmt == "svg" else _render_dot(grid, row)
+    return _render_svg(d, row) if fmt == "svg" else _render_dot(d, row)
 
 
 def drawing_to_json_obj(d: StandardDrawing):

@@ -151,7 +151,6 @@ def forcing_number(g: Graph):
     return _least_forcing_set(g, 1, total=False)
 
 
-@lru_cache(maxsize=None)
 def total_forcing_number(g: Graph):
     """Minimum forcing set inducing a subgraph with no isolated vertex, and
     its lexicographically smallest witness.  Every such set is a forcing

@@ -42,15 +42,13 @@ class Graph:
         self._check(v)
         return bool(self._adj[u] >> v & 1)
 
-    def neighbors_mask(self, u):
-        self._check(u)
-        return self._adj[u]
-
     def neighbors(self, u):
-        return tuple(_mask_bits(self.neighbors_mask(u)))
+        self._check(u)
+        return tuple(_mask_bits(self._adj[u]))
 
     def degree(self, u):
-        return self.neighbors_mask(u).bit_count()
+        self._check(u)
+        return self._adj[u].bit_count()
 
     def max_degree(self):
         return max((m.bit_count() for m in self._adj), default=0)
@@ -328,13 +326,11 @@ def _least_leaf(n, edges, adj):
     return best, labels
 
 
-@lru_cache(maxsize=None)
 def canonical_form(g):
     """The graph relabelled by the least leaf of `_least_leaf`, as graph6.
 
     Equal strings characterize isomorphic graphs.  Capped at n = ISO_CAP,
-    as far as the exhaustive tiers check the keys.  Cached, so a graph that
-    several callers key is searched once.
+    as far as the exhaustive tiers check the keys.
     """
     if g.n > ISO_CAP:
         raise UnsupportedInputError(f"canonical_form capped at n = {ISO_CAP}, got {g.n}")
@@ -353,12 +349,13 @@ def enumerate_connected_subcubic(n):
     Each class keeps its first candidate in build order, found by its key's
     columns from `_least_leaf`; a candidate is an edge tuple and adjacency
     masks, and only the kept ones become graphs.  The output is sorted by
-    key, so the order is deterministic and n is capped at ISO_CAP.
+    key, so the order is deterministic and n is capped at ISO_CAP.  It is a
+    tuple, since every call shares the cached result.
     """
     if not 1 <= n <= ISO_CAP:
         raise UnsupportedInputError(f"built-in generator handles 1 <= n <= {ISO_CAP}, got {n}")
     if n == 1:
-        return [Graph(1)]
+        return (Graph(1),)
     kept = {}
     for g in enumerate_connected_subcubic(n - 1):
         eligible = [u for u in range(g.n) if g.degree(u) < 3]
@@ -368,4 +365,4 @@ def enumerate_connected_subcubic(n):
                 adj = [a | (u in subset) << g.n for u, a in enumerate(g._adj)]
                 adj.append(sum(1 << u for u in subset))
                 kept.setdefault(tuple(_least_leaf(n, edges, adj)[0]), edges)
-    return [Graph(n, kept[key]) for key in sorted(kept)]
+    return tuple(Graph(n, kept[key]) for key in sorted(kept))

@@ -35,10 +35,9 @@ from .graphs import (
     path_graph,
     read_graph6_file,
 )
-from .nullity import DEFAULT_BUDGET, NullityCertificate, classify, maximize_nullity
+from .nullity import CHECK_CAP, DEFAULT_BUDGET, NullityCertificate, classify, maximize_nullity
 
 ALL_CHECKS = ("T_iff", "T_fmk", "C_ft", "P_left", "L_order", "E_bounds")
-_HARNESS_N_CAP = 12
 
 
 @dataclass
@@ -184,7 +183,7 @@ def _check_one(g: Graph, key, made_by):
         "warnings": [],
         "skipped": False,
     }
-    if g.n == 0 or g.max_degree() > 3 or g.n > _HARNESS_N_CAP:
+    if g.n == 0 or g.max_degree() > 3 or g.n > CHECK_CAP:
         rec["skipped"] = True
         return rec
     # one bad graph must not end the run: record the error and carry on
@@ -271,7 +270,7 @@ def _run_checks(g: Graph, key, rec):
                 f"T_fmk: optimizer reached only {result.best_k}, classification says {cls.m}"
             )
         # certify issues no certificate above F on the hosts checked here
-        # (subcubic, n <= 12), so the over-run can succeed only where m < F
+        # (subcubic, n <= CHECK_CAP), so the over-run can succeed only where m < F
         if cls.m < f:
             over = maximize_nullity(g, cls.m + 1, budget=nullity_budget, seed=graph_seed)
             if isinstance(over, NullityCertificate):

@@ -31,7 +31,7 @@ GAP_FACTOR = 10  # certified gap must exceed GAP_FACTOR * TOL_ZERO
 _FLOOR_CERTIFY = 0.045  # a pattern matrix has every |weight| >= _FLOOR_CERTIFY * max(1, ||A||_F)
 DEFAULT_BUDGET = (50, 2000)  # (restarts, Newton steps per restart)
 _OPT_CAP = 32  # the size cap of the search and of its certificates
-_MG_CHECK_CAP = 12  # forcing-number cross-check cap inside certificates
+CHECK_CAP = 12  # the harness checks subcubic graphs up to this n, and certify checks k <= F on them
 
 
 def edge_ends(g: Graph):
@@ -189,7 +189,7 @@ def certify(g: Graph, diag, weights, target):
     gap = abs(by_abs[k]) if k < len(by_abs) else math.inf
     if gap < GAP_FACTOR * TOL_ZERO * scale:
         return None
-    if g.max_degree() <= 3 and g.n <= _MG_CHECK_CAP:
+    if g.max_degree() <= 3 and g.n <= CHECK_CAP:
         if k > forcing_number(g)[0]:
             return None
     diag, weights = tuple(diag.tolist()), tuple(weights.tolist())

@@ -9,6 +9,7 @@ import pytest
 from conftest import brute_drawing_ok, fraction_solve, random_graph, subcubic_n8
 
 from zfpaths import drawing
+from zfpaths.chains import chains_for
 from zfpaths.drawing import (
     StandardDrawing,
     _draw,
@@ -68,6 +69,18 @@ def test_verify_detects_swapped_pair():
     x[2], x[3] = x[3], x[2]
     d = StandardDrawing(rows=K5_ROWS, x=x, host=K5)
     assert verify_drawing(d)
+
+
+def test_a_segment_may_cross_the_path_of_a_row_it_spans():
+    # verify_drawing checks cross-row segments against each other and against
+    # vertices, not against the path edges inside a row.  On Ds[ (F = 3) the
+    # segment 2-4 from row 0 to row 2 meets row 1 at x = 1/2, on its edge 0-3,
+    # and the drawing is valid
+    g = parse_graph6("Ds[")
+    assert forcing_number(g)[0] == 3 and {(0, 3), (2, 4)} <= set(g.edges)
+    d = StandardDrawing(rows=((2,), (0, 3), (1, 4)), x={0: 0, 1: 0, 2: 0, 3: 1, 4: 1}, host=g)
+    assert d.x[0] < Fraction(d.x[2] + d.x[4], 2) < d.x[3]
+    assert verify_drawing(d) == []
 
 
 def test_verify_detects_crossing():
@@ -466,6 +479,23 @@ def test_parallel_drawing_rows_match_forcing_number():
         assert is_forcing_set(g, leftmost_set(d))
 
 
+def test_unrepaired_chains_of_every_minimum_forcing_set_draw():
+    # the chains of a forcing set of size F = 3, as they are, draw with one of
+    # them as the middle row; the outer two swap by a top-bottom mirror
+    graphs = sets = 0
+    for g in subcubic_n8():
+        if forcing_number(g)[0] != 3:
+            continue
+        graphs += 1
+        for s in itertools.combinations(range(g.n), 3):
+            if is_forcing_set(g, s):
+                sets += 1
+                a, b, c = chains_for(g, s).chains
+                orders = ((b, a, c), (a, b, c), (a, c, b))
+                assert any(realize(g, rows) is not None for rows in orders), (g, s)
+    assert (graphs, sets) == (150, 2368)
+
+
 # -- search -------------------------------------------------------------------------
 
 
@@ -570,15 +600,26 @@ def test_render_json_round_trip():
     assert StandardDrawing(rows=tuple(map(tuple, obj["rows"])), x=x, host=host) == d
 
 
-def test_render_rational_drawing_as_its_integer_rescaling():
-    # K5_X shifted by 4/5 and scaled by 5, or by 10, is integer; svg and dot
-    # put all three on one grid
+def test_render_refuses_a_rational_drawing():
+    # K5_X verifies, but render draws int x only, as realize returns them
     rational = StandardDrawing(rows=K5_ROWS, x=K5_X, host=K5)
-    for scale in (5, 10):
-        x = {v: int((val + Fraction(4, 5)) * scale) for v, val in K5_X.items()}
-        scaled = StandardDrawing(rows=K5_ROWS, x=x, host=K5)
-        for fmt in ("svg", "dot"):
-            assert render(scaled, fmt) == render(rational, fmt)
+    assert not verify_drawing(rational)
+    for fmt in ("svg", "dot", "json"):
+        with pytest.raises(ContractError, match="x are not all int"):
+            render(rational, fmt)
+
+
+def test_render_draws_int_x_as_given():
+    # K5_X shifted by 4/5 and scaled by 10 is integer, off the smallest grid
+    # (gcd 2), and svg and dot keep every x as it is
+    x = {v: int((val + Fraction(4, 5)) * 10) for v, val in K5_X.items()}
+    assert x == {0: 18, 1: 18, 2: 8, 3: 48, 4: 0}
+    d = StandardDrawing(rows=K5_ROWS, x=x, host=K5)
+    svg, dot = render(d, "svg"), render(d, "dot")
+    for i, row in enumerate(K5_ROWS):
+        for v in row:
+            assert f'<circle cx="{50 + 40 * x[v]}" cy="{50 + 100 * i}"' in svg
+            assert f'{v} [pos="{x[v]},{3 - i}!"];' in dot
 
 
 def test_render_refuses_invalid_drawing():

@@ -109,8 +109,8 @@ def test_is_forcing_set_rejects_bad_vertex():
 
 
 def closures_started(monkeypatch, search, g):
-    """`search` run uncached on g, and the start set of each closure that it
-    runs, as a sorted tuple."""
+    """`search(g)`, and the start set of each closure that it runs, as a
+    sorted tuple; pass a cached search unwrapped, so that it runs."""
     started, derived = [], forcing._derived
 
     def recording(adj, mask, todo):
@@ -118,13 +118,13 @@ def closures_started(monkeypatch, search, g):
         return derived(adj, mask, todo)
 
     monkeypatch.setattr(forcing, "_derived", recording)
-    return search.__wrapped__(g), started
+    return search(g), started
 
 
 def test_forcing_number_closes_each_prefix_once(monkeypatch):
     # the empty prefix and the six singletons fail on C6, then the prefix
     # (0,) is closed once and (0, 1) forces
-    result, started = closures_started(monkeypatch, forcing_number, cycle_graph(6))
+    result, started = closures_started(monkeypatch, forcing_number.__wrapped__, cycle_graph(6))
     assert result == (2, (0, 1))
     assert started == [()] + [(v,) for v in range(6)] + [(0,), (0, 1)]
 
@@ -133,7 +133,7 @@ def test_a_failed_try_rules_out_the_siblings_outside_its_fort(monkeypatch):
     # on the star with center 3, {0} colors {0, 3}: the fort {1, 2} left
     # uncolored rules out 3 as a last vertex, and (0, 1) is closed from {0, 3}
     star = Graph(4, [(0, 3), (1, 3), (2, 3)])
-    result, started = closures_started(monkeypatch, forcing_number, star)
+    result, started = closures_started(monkeypatch, forcing_number.__wrapped__, star)
     assert result == (2, (0, 1))
     assert started == [(), (0,), (1,), (2,), (0,), (0, 1, 3)]
 

@@ -273,6 +273,15 @@ def test_enumeration_bounds():
         enumerate_connected_subcubic(11)
 
 
+def test_enumeration_output_cannot_be_changed_by_a_caller():
+    # every call shares the cached result, so a caller that could grow it
+    # would change what each later call, and the built-in corpus, holds
+    graphs = enumerate_connected_subcubic(3)
+    with pytest.raises(AttributeError):
+        graphs.append(graphs[0])
+    assert len(enumerate_connected_subcubic(3)) == 2
+
+
 def test_enumeration_soundness():
     for n in range(1, 7):
         graphs = enumerate_connected_subcubic(n)
