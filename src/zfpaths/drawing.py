@@ -12,7 +12,7 @@ on the smallest integer grid or proves that no coordinates can: the
 three-row pipeline, drawings with one or two rows and the k-row search all
 call it.  `realize` verifies each drawing it returns, once, so its callers
 do not verify again; `render` verifies whatever it is given, because a
-drawing may come from elsewhere, and draws only int x.
+drawing may come from elsewhere, and draws only int x >= 0.
 """
 
 from __future__ import annotations
@@ -412,13 +412,13 @@ def _row_structures(g: Graph, k):
 
 
 def render(d: StandardDrawing, fmt="json"):
-    """Serialize a drawing that `verify_drawing` passes, with `int` x as
+    """Serialize a drawing that `verify_drawing` passes, with `int` x >= 0 as
     `realize` returns them, as svg, dot, or json text at its own coordinates."""
     violations = verify_drawing(d)
     if violations:
         raise ContractError(f"refusing to render an invalid drawing: {violations[:3]}")
-    if not all(isinstance(x, int) for x in d.x.values()):
-        raise ContractError("refusing to render a drawing whose x are not all int")
+    if not all(isinstance(x, int) and x >= 0 for x in d.x.values()):
+        raise ContractError("refusing to render a drawing whose x are not all ints >= 0")
     if fmt == "json":
         return json.dumps(drawing_to_json_obj(d))
     if fmt not in ("svg", "dot"):

@@ -600,13 +600,16 @@ def test_render_json_round_trip():
     assert StandardDrawing(rows=tuple(map(tuple, obj["rows"])), x=x, host=host) == d
 
 
-def test_render_refuses_a_rational_drawing():
-    # K5_X verifies, but render draws int x only, as realize returns them
+def test_render_refuses_a_rational_or_negative_drawing():
+    # K5_X verifies, but render draws int x >= 0 only, as realize returns
+    # them; 5 * K5_X is integer with x = -4, which would leave the svg canvas
     rational = StandardDrawing(rows=K5_ROWS, x=K5_X, host=K5)
-    assert not verify_drawing(rational)
-    for fmt in ("svg", "dot", "json"):
-        with pytest.raises(ContractError, match="x are not all int"):
-            render(rational, fmt)
+    negative = StandardDrawing(rows=K5_ROWS, x={v: int(5 * x) for v, x in K5_X.items()}, host=K5)
+    for d in (rational, negative):
+        assert not verify_drawing(d)
+        for fmt in ("svg", "dot", "json"):
+            with pytest.raises(ContractError, match="x are not all ints >= 0"):
+                render(d, fmt)
 
 
 def test_render_draws_int_x_as_given():
