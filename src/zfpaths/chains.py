@@ -19,17 +19,22 @@ vertex whose two cross neighbors are witnessed by an inverting segment
 between the other two chains ("unfavorite").  One scan per defect finds
 each such vertex with its witness, the chain and neighbor that the repair
 rewrite moves the offending head onto; each round strictly shrinks the
-defect count.  No other module checks these conditions.
+defect count.  No other module checks these conditions.  The repairs are
+the paper's argument that some minimum forcing set has chains that draw;
+they are kept and tested here, but the drawing pipeline does not run them,
+because the chains of the witness draw as they are in one of three row
+orders, which `drawing.build_standard_drawing` checks on every graph it
+draws.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 from .errors import ContractError, InternalLogicError, UnsupportedInputError
-from .forcing import ForcingRun, closure
+from .forcing import ForcingRun, closure, forcing_number
 from .graphs import Graph, _mask_bits
 
 
@@ -134,6 +139,14 @@ def extract_chains(run: ForcingRun) -> ChainSet:
 def chains_for(g: Graph, colored) -> ChainSet:
     """Convenience: closure then extraction on one host graph."""
     return extract_chains(closure(g, colored))
+
+
+@lru_cache(maxsize=1)
+def forcing_chains(g: Graph) -> ChainSet:
+    """The chains of `forcing_number(g)`'s witness.  The harness asks for one
+    graph's chains twice in a row, for the drawing and for L_order, so one
+    entry is enough; `chains_for` takes lists and is not cached."""
+    return chains_for(g, forcing_number(g)[1])
 
 
 def _rebuild(host: Graph, chains) -> ChainSet:

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from math import gcd
 from operator import mul
 
-from .chains import chains_for, eliminate_bad, eliminate_unfavorite
+from .chains import forcing_chains
 from .errors import ContractError, InternalLogicError, UnsupportedInputError
 from .forcing import forcing_number
 from .graphs import Graph, is_induced_path
@@ -302,25 +302,32 @@ def _draw(g: Graph, rows) -> StandardDrawing:
 def build_standard_drawing(g: Graph) -> StandardDrawing:
     """Three-row drawing of a graph with maximum degree <= 3 and forcing number 3.
 
-    Pipeline: minimum forcing set, chain extraction, both repairs, then one
-    row order for every chain shape: the third chain on top of the ladder
-    pair (the two chains with the fewest trivial members, then the most
-    cross edges), drawn by `realize`.  The chains are not prechecked: the
-    repairs exit with no bad or unfavorite vertex, and rows with an
-    inverting segment pair or triple have no drawing.  InternalLogicError
-    means that row order has no drawing at all, which the theorem rules out.
+    The rows are the chains of `forcing_number`'s witness, as they are, and
+    `realize` draws them in the first of three row orders that it can: the
+    third chain on top of the ladder pair (the two chains with the fewest
+    trivial members, then the most cross edges), then each of the other two
+    chains in the middle row.  A top-bottom mirror draws just as well, so
+    the middle row is the only choice.  The paper's repairs
+    (`chains.eliminate_bad` and `chains.eliminate_unfavorite`) argue that
+    some minimum forcing set draws; they are kept and tested, and the
+    pipeline does not run them, because the witness's own chains drew on
+    every graph tried.  InternalLogicError means that no order draws, and
+    the harness records it as a violation of that graph.
     """
     if g.max_degree() > 3:
         raise UnsupportedInputError("standard drawings need maximum degree <= 3")
-    k, witness = forcing_number(g)
+    k = forcing_number(g)[0]
     if k != 3:
         raise UnsupportedInputError(f"forcing number is {k}, not 3")
-    cs = chains_for(g, witness)
-    cs = eliminate_bad(cs)
-    cs = eliminate_unfavorite(cs)
+    cs = forcing_chains(g)
     i, j = _ladder_pair(cs)
     third = next(c for k, c in enumerate(cs.chains) if k not in (i, j))
-    return _draw(g, (third, cs.chains[i], cs.chains[j]))
+    rows = (third, cs.chains[i], cs.chains[j])
+    for s in range(3):  # chain i, then chain j, then the third in the middle
+        d = realize(g, rows[s:] + rows[:s])
+        if d is not None:
+            return d
+    raise InternalLogicError(f"the chains {rows} draw in no row order")
 
 
 def _ladder_pair(cs):
@@ -341,9 +348,9 @@ def build_parallel_drawing(g: Graph) -> StandardDrawing:
     """Drawing with forcing_number(g) rows for any subcubic g with F <= 3."""
     if g.max_degree() > 3:
         raise UnsupportedInputError("parallel drawings need maximum degree <= 3")
-    k, witness = forcing_number(g)
+    k = forcing_number(g)[0]
     if k in (1, 2):
-        return _draw(g, chains_for(g, witness).chains)
+        return _draw(g, forcing_chains(g).chains)
     if k == 3:
         return build_standard_drawing(g)
     raise UnsupportedInputError(f"forcing number {k} exceeds 3")

@@ -21,7 +21,7 @@ import time
 import zlib
 from dataclasses import dataclass, field
 
-from .chains import chains_for, check_order_lemmas
+from .chains import check_order_lemmas, forcing_chains
 from .drawing import build_parallel_drawing, leftmost_set
 from .errors import UnsupportedInputError, ZfError
 from .forcing import forcing_number, is_forcing_set, total_forcing_number
@@ -201,7 +201,7 @@ def _run_checks(g: Graph, key, rec):
     comps = g.components()
 
     t0 = time.perf_counter()
-    f, witness = forcing_number(g)
+    f = forcing_number(g)[0]
     rec["f"] = f
     if all(g.degree(v) > 0 for v in range(g.n)):
         rec["f_t"] = total_forcing_number(g)[0]
@@ -247,7 +247,7 @@ def _run_checks(g: Graph, key, rec):
 
     if "L_order" in checks:
         t0 = time.perf_counter()
-        broken = check_order_lemmas(chains_for(g, witness))
+        broken = check_order_lemmas(forcing_chains(g))
         if broken:
             rec["violations"].append(f"L_order: {broken[:3]}")
         rec["timings"]["lemmas_ms"] = round((time.perf_counter() - t0) * 1000, 3)

@@ -2,6 +2,7 @@ import itertools
 import signal
 
 import pytest
+from conftest import subcubic_n8
 
 from zfpaths.chains import (
     ChainSet,
@@ -15,6 +16,7 @@ from zfpaths.chains import (
     sequentially_realizable,
     unfavorite_vertices,
 )
+from zfpaths.drawing import _ladder_pair, realize
 from zfpaths.errors import (
     ContractError,
     InternalLogicError,
@@ -262,20 +264,28 @@ def test_repair_may_need_a_different_force_schedule():
 
 
 def test_repair_pipeline_over_corpus():
-    # every F=3 graph up to n=7 repairs to a defect-free chain set of the same size
-    for n in range(3, 8):
-        for g in enumerate_connected_subcubic(n):
-            k, wit = forcing_number(g)
-            if k != 3:
-                continue
-            cs = chains_for(g, wit)
-            fixed = eliminate_unfavorite(eliminate_bad(cs))
-            assert bad_vertices(fixed) == {}
-            assert unfavorite_vertices(fixed) == {}
-            assert len(fixed.origin) == 3
-            assert is_forcing_set(g, fixed.origin)
-            assert sequentially_realizable(fixed)
-            assert check_order_lemmas(fixed) == []
+    # every F=3 graph up to n=8 repairs to a defect-free chain set of the same
+    # size, which draws with no other row order tried than the ladder-pair one
+    # (the third chain on top of the ladder pair): the paper's repair argument
+    graphs = repaired = 0
+    for g in subcubic_n8():
+        k, wit = forcing_number(g)
+        if k != 3:
+            continue
+        cs = chains_for(g, wit)
+        fixed = eliminate_unfavorite(eliminate_bad(cs))
+        assert bad_vertices(fixed) == {}
+        assert unfavorite_vertices(fixed) == {}
+        assert len(fixed.origin) == 3
+        assert is_forcing_set(g, fixed.origin)
+        assert sequentially_realizable(fixed)
+        assert check_order_lemmas(fixed) == []
+        i, j = _ladder_pair(fixed)
+        third = next(c for k, c in enumerate(fixed.chains) if k not in (i, j))
+        assert realize(g, (third, fixed.chains[i], fixed.chains[j])) is not None, g.edges
+        graphs += 1
+        repaired += fixed.chains != cs.chains
+    assert (graphs, repaired) == (150, 69)
 
 
 # -- the chain rule ----------------------------------------------------------------

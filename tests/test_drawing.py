@@ -333,6 +333,19 @@ def test_draw_raises_when_the_rows_have_no_drawing():
         _draw(complete_graph(4), ((0, 1), (2, 3)))
 
 
+def test_standard_drawing_raises_when_no_row_order_draws(monkeypatch):
+    tried = []
+
+    def refuse(g, rows):
+        tried.append(rows)
+
+    monkeypatch.setattr(drawing, "realize", refuse)
+    with pytest.raises(InternalLogicError, match="draw in no row order"):
+        build_standard_drawing(complete_graph(4))
+    # each chain once in the middle row, the ladder pair's first chain first
+    assert tried == [((2,), (0, 3), (1,)), ((0, 3), (1,), (2,)), ((1,), (2,), (0, 3))]
+
+
 @pytest.mark.parametrize(
     "g, rows",
     [
@@ -643,21 +656,34 @@ def test_render_rejects_an_unknown_format():
 
 # sha256 over one line per F <= 3 graph of `conftest.subcubic_n8`, in file
 # order: its graph6 code and drawing_to_json_obj(build_parallel_drawing(g)) as
-# compact sorted-key JSON.  Both digests were computed with the Fraction
-# back-substitution that `conftest.fraction_solve` keeps, so a change to the
-# solver's arithmetic that moves any coordinate fails here.
-_PARALLEL_DRAWINGS_DIGEST = "4aca97a814362219a0f26ded3e36be3d5a15e1f14bcc95fb8568510606737c23"
+# compact sorted-key JSON.  Both digests were computed with `drawing._solve`
+# patched to the Fraction back-substitution that `conftest.fraction_solve`
+# keeps, so a change to the solver's arithmetic that moves any coordinate
+# fails here.
+_PARALLEL_DRAWINGS_DIGEST = "89001a5fb6fe7cb37284296fbaecc1ce0ca1cd07e7e0cee43076e3acb667c62e"
 # The same over 200 seeded random connected subcubic F <= 3 graphs with
 # n = 11 and 12, where the midpoints nest deeper and the grids are wider.
-_PARALLEL_DRAWINGS_N12_DIGEST = "f0015dd21b7999b737884abfab2cfa2248f9c6720adcc9344196795df1af28b9"
+_PARALLEL_DRAWINGS_N12_DIGEST = "79a2ecd87bee6f16083432f3a25310005677312b42579bdec0711addae5f6daf"
+
+
+def _pinned_drawing_line(g):
+    """The digest line of g's drawing, once the drawing is checked: its rows
+    are the chains of the witness as they are, in some order, it verifies,
+    and its leftmost set is the witness, which forces."""
+    d = build_parallel_drawing(g)
+    witness = forcing_number(g)[1]
+    assert sorted(d.rows) == sorted(chains_for(g, witness).chains), g.edges
+    assert not verify_drawing(d)
+    assert leftmost_set(d) == frozenset(witness) and is_forcing_set(g, leftmost_set(d))
+    obj = [encode_graph6(g), drawing_to_json_obj(d)]
+    return json.dumps(obj, sort_keys=True, separators=(",", ":")).encode() + b"\n"
 
 
 def test_parallel_drawing_coordinates_are_pinned():
     digest, count = hashlib.sha256(), 0
     for g in subcubic_n8():
         if forcing_number(g)[0] <= 3:
-            obj = [encode_graph6(g), drawing_to_json_obj(build_parallel_drawing(g))]
-            digest.update(json.dumps(obj, sort_keys=True, separators=(",", ":")).encode() + b"\n")
+            digest.update(_pinned_drawing_line(g))
             count += 1
     assert count == 290
     assert digest.hexdigest() == _PARALLEL_DRAWINGS_DIGEST
@@ -668,7 +694,6 @@ def test_parallel_drawing_coordinates_are_pinned_at_n_11_and_12():
     while count < 200:
         g = random_graph(rng, rng.choice((11, 12)), p=0.35, max_degree=3)
         if g.is_connected() and forcing_number(g)[0] <= 3:
-            obj = [encode_graph6(g), drawing_to_json_obj(build_parallel_drawing(g))]
-            digest.update(json.dumps(obj, sort_keys=True, separators=(",", ":")).encode() + b"\n")
+            digest.update(_pinned_drawing_line(g))
             count += 1
     assert digest.hexdigest() == _PARALLEL_DRAWINGS_N12_DIGEST

@@ -3,12 +3,14 @@ import sys
 
 import pytest
 
-from zfpaths import drawing, harness
+from zfpaths import chains, drawing, harness
 from zfpaths.cli import main
 from zfpaths.errors import InternalLogicError, NumericalFailureError, UnsupportedInputError
 from zfpaths.graphs import (
     canonical_form,
+    complete_bipartite,
     complete_graph,
+    cycle_graph,
     disjoint_union,
     encode_graph6,
     Graph,
@@ -211,6 +213,30 @@ def test_suite_verifies_each_drawing_once(monkeypatch):
     drawn = sum(rec["drawing_ok"] is True for rec in report.records.values())
     assert report.ok and drawn == report.cursor == 11
     assert len(calls) == drawn
+
+
+def test_suite_extracts_each_graphs_chains_once(tmp_path, monkeypatch):
+    # the drawing and L_order read one chain set per graph
+    calls = []
+    real = chains.chains_for
+
+    def spy(g, colored):
+        calls.append(encode_graph6(g))
+        return real(g, colored)
+
+    # every zfpaths module that binds the extractor by name calls the spy
+    for name, mod in list(sys.modules.items()):
+        if name.split(".")[0] == "zfpaths" and getattr(mod, "chains_for", None) is real:
+            monkeypatch.setattr(mod, "chains_for", spy)
+    chains.forcing_chains.cache_clear()
+    # F = 1, 2, 3 (K4, a figure-8 graph, C4 with an isolated vertex) and 4
+    graphs = [path_graph(5), cycle_graph(6), complete_graph(4), fig8_graph((1, 1, 1, 1, 1)),
+              disjoint_union([cycle_graph(4), Graph(1)]), complete_bipartite(3, 3)]
+    corpus = tmp_path / "structure.g6"
+    corpus.write_text("".join(encode_graph6(g) + "\n" for g in graphs))
+    report = run_suite(str(corpus), checks=("T_iff", "P_left", "C_ft", "L_order", "E_bounds"))
+    assert report.ok and report.cursor == len(graphs)
+    assert sorted(calls) == sorted(encode_graph6(g) for g in graphs)
 
 
 def test_graph_listed_twice_is_checked_and_written_once(tmp_path, monkeypatch):
