@@ -284,21 +284,27 @@ def _equitable(edges, colors, powers):
         count = len(table)
 
 
-def _least_leaf(n, edges, adj):
+def _powers(n):
+    """The place values of `_equitable`'s base-(n + 1) signatures."""
+    return [(n + 1) ** i for i in range(n + 1)]
+
+
+def _least_leaf(edges, adj, root, powers):
     """Graph6 columns and labelling of the least leaf of the search tree.
 
-    The root is the equitable refinement of the degrees.  A node whose
-    colouring has a class of two or more vertices has a child for each
-    vertex of its first smallest such class: that vertex individualized
-    (kept below the rest of its class), then refined.  The tree does not
-    depend on the labelling, so neither does the least leaf.  At a leaf
-    every vertex has a colour of its own, which is its label; column j holds
-    the edges from label j to labels 0..j-1, label 0 as the top bit, so
-    column lists order as the graph6 strings do.
+    The root is the equitable refinement of the degrees, which the caller
+    has computed with `powers`.  A node whose colouring has a class of two
+    or more vertices has a child for each vertex of its first smallest such
+    class: that vertex individualized (kept below the rest of its class),
+    then refined.  The tree does not depend on the labelling, so neither
+    does the least leaf.  At a leaf every vertex has a colour of its own,
+    which is its label; column j holds the edges from label j to labels
+    0..j-1, label 0 as the top bit, so column lists order as the graph6
+    strings do.
     """
-    powers = [(n + 1) ** i for i in range(n + 1)]
+    n = len(adj)
     best = labels = None
-    stack = [_equitable(edges, [a.bit_count() for a in adj], powers)]
+    stack = [root]
     while stack:
         colors = stack.pop()
         cells = [[] for _ in range(n)]
@@ -334,28 +340,74 @@ def canonical_form(g):
     """
     if g.n > ISO_CAP:
         raise UnsupportedInputError(f"canonical_form capped at n = {ISO_CAP}, got {g.n}")
-    return encode_graph6(g.relabel(_least_leaf(g.n, g.edges, g._adj)[1]))
+    powers = _powers(g.n)
+    root = _equitable(g.edges, [a.bit_count() for a in g._adj], powers)
+    return encode_graph6(g.relabel(_least_leaf(g.edges, g._adj, root, powers)[1]))
 
 
 # -- exhaustive enumeration of connected subcubic graphs -------------------
+
+
+def _connected_without(adj, v):
+    """True iff the connected graph of masks `adj` stays connected without v."""
+    rest = ((1 << len(adj)) - 1) ^ (1 << v)
+    seen = frontier = adj[v] & -adj[v]
+    while frontier:
+        reach = 0
+        for u in _mask_bits(frontier):
+            reach |= adj[u]
+        frontier = reach & rest & ~seen
+        seen |= frontier
+    return seen == rest
+
+
+def _deletion_root(edges, adj, x, powers):
+    """The root colouring of `_least_leaf` if no vertex of a lower root
+    colour than x can be deleted from the connected graph, else None.
+
+    A vertex can be deleted if the graph stays connected without it.
+    """
+    degrees = [a.bit_count() for a in adj]
+    # `_equitable` ranks colours by degree first, so a deletable vertex of a
+    # lower degree than x rules x out before any refinement
+    if any(d < degrees[x] and _connected_without(adj, v) for v, d in enumerate(degrees)):
+        return None
+    root = _equitable(edges, degrees, powers)
+    # the vertices of a lower degree were ruled out above
+    if any(
+        root[v] < root[x] and d == degrees[x] and _connected_without(adj, v)
+        for v, d in enumerate(degrees)
+    ):
+        return None
+    return root
 
 
 @lru_cache(maxsize=None)
 def enumerate_connected_subcubic(n):
     """One representative per isomorphism class of connected graphs with max degree <= 3.
 
-    Built by repeatedly attaching a new vertex to 1..3 existing vertices of
-    degree < 3 (every connected graph has a build order of this shape).
-    Each class keeps its first candidate in build order, found by its key's
-    columns from `_least_leaf`; a candidate is an edge tuple and adjacency
-    masks, and only the kept ones become graphs.  The output is sorted by
-    key, so the order is deterministic and n is capped at ISO_CAP.  It is a
-    tuple, since every call shares the cached result.
+    A candidate is a representative on n - 1 vertices with a new vertex x
+    attached to 1..3 of its vertices of degree < 3.  Only candidates in
+    which x is a canonical deletion are keyed (McKay, "Isomorph-free
+    exhaustive generation", 1998): no vertex of a lower root colour than x
+    can be deleted, leaving the graph connected (`_deletion_root`).  Every
+    class still has such a candidate.  The root colouring does not depend
+    on the labelling.  In any graph H of the class, let y be a deletable
+    vertex of the lowest colour; H - y is connected and subcubic, so it is
+    isomorphic to a representative on n - 1 vertices, and x attached to the
+    image of y's neighbours is a candidate isomorphic to H, with x in y's
+    place, so of y's colour.  Each class keeps its first such candidate in
+    build order, found by its key's columns from `_least_leaf`; a candidate
+    is an edge tuple and adjacency masks, and only the kept ones become
+    graphs.  The output is sorted by key, so the order is deterministic and
+    n is capped at ISO_CAP.  It is a tuple, since every call shares the
+    cached result.
     """
     if not 1 <= n <= ISO_CAP:
         raise UnsupportedInputError(f"built-in generator handles 1 <= n <= {ISO_CAP}, got {n}")
     if n == 1:
         return (Graph(1),)
+    powers = _powers(n)
     kept = {}
     for g in enumerate_connected_subcubic(n - 1):
         eligible = [u for u in range(g.n) if g.degree(u) < 3]
@@ -364,5 +416,7 @@ def enumerate_connected_subcubic(n):
                 edges = g.edges + tuple((u, g.n) for u in subset)
                 adj = [a | (u in subset) << g.n for u, a in enumerate(g._adj)]
                 adj.append(sum(1 << u for u in subset))
-                kept.setdefault(tuple(_least_leaf(n, edges, adj)[0]), edges)
+                root = _deletion_root(edges, adj, g.n, powers)
+                if root is not None:
+                    kept.setdefault(tuple(_least_leaf(edges, adj, root, powers)[0]), edges)
     return tuple(Graph(n, kept[key]) for key in sorted(kept))

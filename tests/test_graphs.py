@@ -5,6 +5,7 @@ from collections import defaultdict
 import pytest
 
 from conftest import brute_canonical_form, random_graph, subcubic_n8
+from zfpaths import graphs
 from zfpaths.errors import GraphFormatError, InvalidVertexError, UnsupportedInputError
 from zfpaths.graphs import (
     Graph,
@@ -317,9 +318,43 @@ def test_enumeration_has_the_classes_of_the_frozen_corpus():
 # sha256 of the graph6 records of enumerate_connected_subcubic(k), k = 1..8,
 # concatenated; the classes are the frozen corpus's (test above), so this
 # fails on a changed representative or order
-_ENUM_DIGEST = "fa9b5aae3e492a2144590bc65b55ad3ae394f013391acaa751ef6a13ccb86eb8"
+_ENUM_DIGEST = "76c8773d36bf0630a974e64b3422156286d29adfc008835ab419b6588464ed8e"
 
 
 def test_enumeration_output_is_pinned():
     records = "".join(encode_graph6(g) for n in range(1, 9) for g in enumerate_connected_subcubic(n))
     assert hashlib.sha256(records.encode()).hexdigest() == _ENUM_DIGEST
+
+
+def _canonical_deletions(g):
+    """The vertices that the enumeration's rule accepts as the new vertex."""
+    powers = graphs._powers(g.n)
+    return {
+        x
+        for x in range(g.n)
+        if graphs._connected_without(g._adj, x)
+        and graphs._deletion_root(g.edges, g._adj, x, powers) is not None
+    }
+
+
+def test_canonical_deletions_do_not_depend_on_the_labelling(rng):
+    # each class keeps a candidate only because some vertex of each of its
+    # graphs passes the rule, whatever the labelling
+    for n in range(1, 9):
+        for g in enumerate_connected_subcubic(n):
+            accepted = _canonical_deletions(g)
+            assert accepted
+            for _ in range(3):
+                perm = list(range(n))
+                rng.shuffle(perm)
+                assert _canonical_deletions(g.relabel(perm)) == {perm[x] for x in accepted}
+
+
+def test_enumeration_keys_only_canonical_deletions(monkeypatch):
+    # n = 2..8 builds 1,722 candidates, and the rule leaves 456 of them to key
+    calls = []
+    least_leaf = graphs._least_leaf
+    monkeypatch.setattr(graphs, "_least_leaf", lambda *args: calls.append(1) or least_leaf(*args))
+    enumerate_connected_subcubic.cache_clear()
+    assert len(enumerate_connected_subcubic(8)) == 194
+    assert len(calls) <= 1722 // 3
