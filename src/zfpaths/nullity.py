@@ -10,9 +10,11 @@ number; numerical lower bounds are produced here by Newton's method on the
 cluster of the target smallest eigenvalues, which solves V^T A V = 0 for
 their eigenvectors V.  A restart ends when those eigenvalues lie 1000 times
 below the certificate's zero threshold, when ||A||_F diverges, or when its
-steps run out.  `certify` applies the pattern rule, then checks the nullity
-with an in-house Jacobi eigensolver, independent of the LAPACK path used
-inside the optimizer.
+steps run out.  `certify` applies the pattern rule, then counts the nullity
+with an in-house Jacobi eigensolver, which starts from Q^T A Q for LAPACK's
+eigenvectors Q when ||Q^T Q - I||_F <= 1e-12, and from A otherwise.  By
+Ostrowski's theorem the eigenvalues of Q^T A Q are A's times factors within
+1e-12 of 1, so LAPACK only proposes the basis and the count stays Jacobi's.
 """
 
 from __future__ import annotations
@@ -66,6 +68,7 @@ def _in_pattern(diag, weights):
 
 _JACOBI_SWEEPS = 100
 _JACOBI_TOL = 1e-12
+_BASIS_TOL = 1e-12  # certify starts Jacobi from Q^T A Q when ||Q^T Q - I||_F <= _BASIS_TOL
 
 
 def jacobi_eigenvalues(a):
@@ -163,13 +166,21 @@ def certify(g: Graph, diag, weights, target):
     diagonal and weights[i] on edge i of g.edges, or None unless it is a
     pattern matrix (`_in_pattern`) and 1 <= k <= target (1 <= target <= n).
 
-    k counts the eigenvalues from the in-house Jacobi solver, not the
-    optimizer's LAPACK path, below TOL_ZERO * max(1, ||A||_F).  The next
-    smallest |eigenvalue| must be GAP_FACTOR times that threshold or more,
-    and k may not exceed the forcing number on subcubic hosts with n <= 12.
-    One spectrum decides every k: the k smallest |eigenvalues| below the
-    threshold and the next one at GAP_FACTOR times it hold together only when
-    k is the count below.  This is a float check, not a proof.
+    k counts the eigenvalues from the in-house Jacobi solver below
+    TOL_ZERO * max(1, ||A||_F).  The next smallest |eigenvalue| must be
+    GAP_FACTOR times that threshold or more, and k may not exceed the forcing
+    number on subcubic hosts with n <= 12.  One spectrum decides every k: the
+    k smallest |eigenvalues| below the threshold and the next one at
+    GAP_FACTOR times it hold together only when k is the count below.  This
+    is a float check, not a proof.
+
+    Jacobi starts from the symmetrized Q^T A Q for the eigenvectors Q that
+    LAPACK's eigh proposes, when ||Q^T Q - I||_F <= 1e-12, so it stops before
+    its first sweep; otherwise (an eigh error, a nan in Q) from A.  Q^T A Q is
+    congruent to A, so by Ostrowski's theorem (Horn & Johnson, Matrix
+    Analysis, Thm 4.5.9) each of its eigenvalues is theta * lambda(A) with
+    |theta - 1| <= 1e-12: the count and the gap read A's spectrum, and a poor
+    basis costs only sweeps.
     """
     if not 1 <= target <= g.n:
         raise ContractError(f"target must lie in 1..{g.n}, got {target}")
@@ -182,6 +193,14 @@ def certify(g: Graph, diag, weights, target):
         return None
     arr = assemble(edge_ends(g), diag, weights)
     scale = max(1.0, float(np.linalg.norm(arr)))
+    try:
+        basis = np.linalg.eigh(arr)[1]
+    except np.linalg.LinAlgError:
+        basis = None
+    # a nan in the basis fails this test too
+    if basis is not None and np.linalg.norm(basis.T @ basis - np.eye(g.n)) <= _BASIS_TOL:
+        arr = basis.T @ arr @ basis
+        arr = (arr + arr.T) / 2
     by_abs = sorted(jacobi_eigenvalues(arr), key=abs)
     k = sum(1 for lam in by_abs if abs(lam) < TOL_ZERO * scale)
     if not 1 <= k <= target:

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import sys
 
@@ -438,3 +439,21 @@ def test_jsonl_lines_parse(tmp_path):
             assert rec["f"] <= rec["f_t"] <= 2 * rec["f"]
         if rec["m_certified"] is not None:
             assert rec["m_certified"] <= rec["f"]
+
+
+# sha256 over the records of `verify --nmax 8` (every check, seed 0, the
+# default budget), one line per record in run order: the record without its
+# timings as compact sorted-key JSON.  Taken while certify still ran Jacobi
+# on A itself, before it started from LAPACK's eigenbasis, so a change to
+# any verdict, certified nullity or drawing outcome fails here.
+_VERIFY_N8_RECORDS_DIGEST = "8c71b9f7dbfed708a0557b8d24800e64d2fa8f4bdbb76103342dd5583e6b68a0"
+
+
+def test_verify_n8_records_are_pinned():
+    report = run_suite(8)
+    digest = hashlib.sha256()
+    for rec in report.records.values():
+        line = {k: v for k, v in rec.items() if k != "timings"}
+        digest.update(json.dumps(line, sort_keys=True, separators=(",", ":")).encode() + b"\n")
+    assert len(report.records) == 310
+    assert digest.hexdigest() == _VERIFY_N8_RECORDS_DIGEST

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import zfpaths.nullity as nullity
-from conftest import eigenvalue_gradient_errors
+from conftest import eigenvalue_gradient_errors, subcubic_n8
 from zfpaths.errors import ContractError, NumericalFailureError, UnsupportedInputError
 from zfpaths.forcing import forcing_number
 from zfpaths.graphs import (
@@ -47,6 +47,10 @@ def unit_matrix(g, diag=0.0):
     return assemble(edge_ends(g), *unit_pattern(g, diag)[1:])
 
 
+def _verdict(cert):
+    return None if cert is None else cert.k
+
+
 # -- pattern matrices -----------------------------------------------------------
 
 
@@ -66,7 +70,7 @@ def test_certify_pattern_boundary_on_p3(b, k):
     # ||A||_F = sqrt(2 (1 + b^2)) is about 1.417, so the floor 0.045 ||A||_F
     # is about 0.0638: b = 0.06 lies below it and b = 0.07 above
     cert = certify(path_graph(3), (0.0, 0.0, 0.0), (1.0, b), 3)
-    assert (None if cert is None else cert.k) == k
+    assert _verdict(cert) == k
 
 
 # -- Jacobi spectrum ---------------------------------------------------------------
@@ -247,17 +251,23 @@ def test_diverging_restarts_raise_no_warning():
     assert result.stalled + result.left_pattern == result.restarts
 
 
-def test_certify_and_the_search_refuse_a_near_boundary_forgery(monkeypatch):
-    # a nullity-3 matrix of the figure-8 graph minus edge e, scaled by 1e12,
-    # with weight 1 on e: every weight is nonzero, yet the graph has M = 2;
-    # its three smallest eigenvalues are below certify's zero threshold, and
-    # weight 1 lies far below the floor 0.045 ||A||_F
+def near_boundary_forgery():
+    """(g, diagonal, weights) of a nullity-3 matrix of the figure-8 graph
+    minus edge e, scaled by 1e12, with weight 1 on e: every weight is
+    nonzero, yet the graph has M = 2; its three smallest eigenvalues are below
+    certify's zero threshold, and weight 1 lies far below the floor
+    0.045 ||A||_F."""
     g = fig8_graph((1, 1, 1, 1, 1))
     e = g.edges[0]
     tree = maximize_nullity(Graph(g.n, [f for f in g.edges if f != e]), 3, seed=0)
     tree_weights = dict(zip(tree.host.edges, tree.weights))
     diag = 1e12 * np.array(tree.diag)
     weights = np.array([1.0 if f == e else 1e12 * tree_weights[f] for f in g.edges])
+    return g, diag, weights
+
+
+def test_certify_and_the_search_refuse_a_near_boundary_forgery(monkeypatch):
+    g, diag, weights = near_boundary_forgery()
     a = assemble(edge_ends(g), diag, weights)
     assert np.sort(np.abs(jacobi_eigenvalues(a)))[2] < TOL_ZERO * np.linalg.norm(a)
     assert certify(g, diag, weights, 3) is None
@@ -320,7 +330,82 @@ def test_certify_refuses_an_eigenvalue_inside_the_gap(bump, k):
     # double zero and an eigenvalue near 3/4 bump; with ||A||_F = 4 the zero
     # threshold is 4e-8 and the gap must reach ten times that, 4e-7
     cert = certify(complete_graph(4), (1.0, 1.0, 1.0, 1.0 + bump), (1.0,) * 6, 3)
-    assert (None if cert is None else cert.k) == k
+    assert _verdict(cert) == k
+
+
+def _eigh_returning(make_basis):
+    """A stand-in for np.linalg.eigh whose eigenvectors are make_basis(a, Q)
+    for LAPACK's own eigenvectors Q, and which counts its calls."""
+    eigh = np.linalg.eigh
+
+    def patched(a):
+        patched.calls += 1
+        vals, vecs = eigh(a)
+        return vals, make_basis(a, vecs)
+
+    patched.calls = 0
+    return patched
+
+
+def _raise_linalg_error(a, vecs):
+    raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+
+@pytest.mark.parametrize(
+    "make_basis",
+    [
+        lambda a, vecs: np.eye(len(a)),
+        lambda a, vecs: np.linalg.qr(np.random.default_rng(11).normal(size=a.shape))[0],
+        lambda a, vecs: vecs * (1 + 1e-6),  # not orthogonal: refused
+        lambda a, vecs: np.full(a.shape, math.nan),  # refused
+        _raise_linalg_error,  # refused
+    ],
+    ids=["identity", "random-orthogonal", "scaled", "nan", "eigh-error"],
+)
+def test_certify_verdict_does_not_depend_on_the_proposed_basis(monkeypatch, make_basis):
+    # Jacobi starts from Q^T A Q for the basis Q that eigh proposes; whatever
+    # Q it is given, the count and the eigenvalues are A's
+    cases = [
+        (unit_pattern(complete_graph(4), diag=1.0), 3, 3),
+        (unit_pattern(path_graph(3)), 3, 1),
+        ((complete_graph(4), (1.0, 1.0, 1.0, 1.0 + 2e-7), (1.0,) * 6), 3, None),
+        ((complete_graph(4), (1.0, 1.0, 1.0, 1.0 + 1e-6), (1.0,) * 6), 3, 2),
+        (near_boundary_forgery(), 3, None),
+    ]
+    expected = [certify(*args, target) for args, target, _ in cases]
+    assert [_verdict(cert) for cert in expected] == [k for _, _, k in cases]
+    patched = _eigh_returning(make_basis)
+    monkeypatch.setattr(np.linalg, "eigh", patched)
+    for (args, target, _), want in zip(cases, expected):
+        got = certify(*args, target)
+        assert _verdict(got) == _verdict(want), args
+        if want is not None:
+            scale = max(1.0, np.linalg.norm(assemble(edge_ends(args[0]), *args[1:])))
+            assert np.allclose(
+                np.sort(got.eigenvalues), np.sort(want.eigenvalues), rtol=0, atol=1e-12 * scale
+            )
+    # the forgery leaves the pattern before any basis is asked for
+    assert patched.calls == len(cases) - 1
+
+
+def test_cold_jacobi_on_a_agrees_with_the_warm_started_certificate():
+    # every 5th F <= 3 graph of the frozen corpus: the reach certificate at
+    # the classified m has the k and gap that Jacobi counts on A itself
+    graphs = [g for g in subcubic_n8() if forcing_number(g)[0] <= 3][::5]
+    assert len(graphs) == 58
+    for g in graphs:
+        cert = maximize_nullity(g, classify(g).m, seed=2024)
+        assert isinstance(cert, NullityCertificate), g.edges
+        a = assemble(edge_ends(g), cert.diag, cert.weights)
+        scale = max(1.0, np.linalg.norm(a))
+        cold = sorted(jacobi_eigenvalues(a), key=abs)
+        k = sum(1 for lam in cold if abs(lam) < TOL_ZERO * scale)
+        gap = abs(cold[k]) if k < g.n else math.inf
+        assert k == cert.k, g.edges
+        assert gap == cert.gap or abs(gap - cert.gap) <= 1e-12 * scale, g.edges
+        assert np.allclose(
+            np.sort(cold), np.sort(cert.eigenvalues), rtol=0, atol=1e-12 * scale
+        ), g.edges
 
 
 def test_certify_refuses_k_above_the_forcing_number(monkeypatch):
